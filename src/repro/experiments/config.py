@@ -62,6 +62,14 @@ class TrafficConfig:
         return replace(self, **overrides)
 
 
+#: ``ExperimentConfig`` durations, intervals, sizes and ranges, each
+#: of which must be strictly positive.
+_POSITIVE_FIELDS = (
+    "duration", "field_size", "group_range", "send_interval", "packet_size",
+    "radio_range", "location_update_interval", "hello_interval",
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One simulation's parameters.
@@ -132,6 +140,12 @@ class ExperimentConfig:
             raise ValueError("n_pairs must fit disjointly into the population")
         if self.speed < 0:
             raise ValueError("speed must be >= 0")
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if not self.drain_time >= 0:
+            raise ValueError(f"drain_time must be >= 0, got {self.drain_time!r}")
         if isinstance(self.traffic, dict):
             object.__setattr__(self, "traffic", TrafficConfig(**self.traffic))
         if self.traffic.model == "adaptive" and not (

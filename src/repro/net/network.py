@@ -116,12 +116,15 @@ class Network:
         self.mac = Mac80211Dcf(self.radio, engine.rng.stream("mac"))
         ttl = neighbor_ttl if neighbor_ttl is not None else 3.0 * hello_interval
 
-        key_rng = engine.rng.stream("keys")
+        # The "keys" stream is private to key generation, so drawing
+        # every keypair up front leaves the per-node streams untouched.
+        keypairs = generate_keypair(
+            engine.rng.stream("keys"), bits=keypair_bits, size=n_nodes
+        )
         self.nodes: list[Node] = []
-        for i in range(n_nodes):
+        for i, keypair in enumerate(keypairs):
             node_rng = engine.rng.stream(f"node-{i}")
             mobility = mobility_factory(i, node_rng)
-            keypair = generate_keypair(key_rng, bits=keypair_bits)
             self.nodes.append(
                 Node(i, mobility, keypair, node_rng, neighbor_ttl=ttl)
             )
@@ -131,9 +134,9 @@ class Network:
         # is a second (N, 2) buffer the next refresh interpolates into,
         # so old and new positions can be diffed without allocating.
         self._snapshot_time: float = -1.0
-        # Per-node long-term public keys (keypairs never rotate), built
-        # lazily for the hello round's row construction.
-        self._publics: list | None = None
+        # Per-node long-term public keys (keypairs never rotate) for the
+        # hello round's row construction.
+        self._publics = [kp.public for kp in keypairs]
         self._snapshot_positions: np.ndarray | None = None
         self._snapshot_scratch: np.ndarray | None = None
         self._snapshot_index: GridIndex | None = None
@@ -764,10 +767,6 @@ class Network:
         entries: list[NeighborEntry] = [first]
         if rest:
             publics = self._publics
-            if publics is None:
-                publics = self._publics = [
-                    node.keypair.public for node in nodes
-                ]
             entries += map(
                 NeighborEntry,
                 rest,

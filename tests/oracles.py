@@ -1,5 +1,7 @@
-"""Differential-testing oracles for spatial-index implementations.
+"""Differential-testing oracles: scalar references for batched code.
 
+Spatial index
+-------------
 The repo's hottest data structure — :class:`repro.geometry.spatial_index.
 GridIndex` — is now mutated in place between snapshots, which makes a
 spot-check test style (a handful of hand-picked positions) too weak:
@@ -16,6 +18,14 @@ from three moves ago.  This module provides the stronger oracle:
 
 Any future index variant (k-d tree, sorted-array sweep, GPU bucketing)
 can be dropped into the same harness unchanged.
+
+Key generation
+--------------
+:func:`scalar_keypair` is the one-candidate-at-a-time prime search
+that :func:`repro.crypto.keys.generate_keypair` batches: one scalar
+draw per candidate, a 12-base Miller–Rabin per candidate, and pairs
+of consecutive primes.  It defines the draw-order contract the batched
+path must reproduce key for key and draw for draw.
 """
 
 from __future__ import annotations
@@ -24,7 +34,73 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.crypto.keys import KeyPair, PrivateKey, PublicKey
 from repro.geometry.spatial_index import GridIndex
+
+# Deterministic Miller-Rabin witness sets: these bases are proven
+# sufficient for all n below 3.3e24.
+_MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+_SMALL_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+    67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
+)
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller–Rabin primality test (deterministic for n < 3.3e24)."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_WITNESSES_64:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def random_prime(bits: int, rng: np.random.Generator) -> int:
+    """Draw a random prime with exactly ``bits`` bits."""
+    if bits < 3:
+        raise ValueError(f"bits must be >= 3, got {bits}")
+    while True:
+        # Force top bit (exact width) and bottom bit (odd).
+        raw = int(rng.integers(0, 1 << (bits - 2), dtype=np.uint64))
+        candidate = (1 << (bits - 1)) | (raw << 1) | 1
+        if is_probable_prime(candidate):
+            return candidate
+
+
+def scalar_keypair(rng: np.random.Generator, bits: int = 64) -> KeyPair:
+    """One textbook-RSA keypair, drawn one candidate at a time."""
+    half = bits // 2
+    e = 65537
+    while True:
+        p = random_prime(half, rng)
+        q = random_prime(half, rng)
+        if p == q:
+            continue
+        n = p * q
+        phi = (p - 1) * (q - 1)
+        if phi % e == 0:
+            continue
+        d = pow(e, -1, phi)
+        return KeyPair(PublicKey(n, e), PrivateKey(n, d))
 
 
 class NaiveIndex:

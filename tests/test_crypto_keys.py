@@ -1,4 +1,9 @@
-"""Tests for key generation primitives."""
+"""Tests for key generation primitives.
+
+Primality and prime-width tests run against the scalar oracle in
+``tests/oracles.py``; the batched path's parity with it is pinned in
+``tests/test_keygen_batch.py``.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.keys import (
-    KeyPair,
-    SymmetricKey,
-    generate_keypair,
-    is_probable_prime,
-    random_prime,
-)
+from repro.crypto.keys import KeyPair, SymmetricKey, generate_keypair
+from tests.oracles import is_probable_prime, random_prime
 
 
 class TestPrimality:

@@ -46,6 +46,31 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(speed=-1)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "duration", "field_size", "group_range", "send_interval",
+            "packet_size", "radio_range", "location_update_interval",
+            "hello_interval",
+        ],
+    )
+    @pytest.mark.parametrize("value", [0, -1, float("nan")])
+    def test_non_positive_field_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be positive, got "):
+            ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [-3, -0.5, float("nan")])
+    def test_negative_drain_time_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^drain_time must be >= 0, got "):
+            ExperimentConfig(drain_time=value)
+
+    def test_zero_drain_time_accepted(self):
+        assert ExperimentConfig(drain_time=0).drain_time == 0
+
+    def test_with_revalidates(self):
+        with pytest.raises(ValueError, match="hello_interval"):
+            ExperimentConfig().with_(hello_interval=0)
+
     def test_with_override(self):
         cfg = ExperimentConfig().with_(n_nodes=100, speed=4.0)
         assert cfg.n_nodes == 100 and cfg.speed == 4.0
