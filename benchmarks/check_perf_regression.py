@@ -28,14 +28,7 @@ scheduler noise) and falls back to ``loop_mean_s`` for reports that
 predate the field.  Reports that predate the scale harness entirely
 skip this gate instead of failing it.
 
-A third gate covers the ``mac`` section written by
-``benchmarks/bench_mac.py``.  Its parity verdict is deterministic and
-hard-fails when broken (the batched MAC diverged from the scalar
-oracle — a correctness bug, not a perf question); the batched
-per-transmission cost is additionally bounded against a
-config-matched baseline point when one exists.
-
-A fourth gate covers the ``traffic`` section written by
+A third gate covers the ``traffic`` section written by
 ``benchmarks/bench_traffic_adaptive.py``.  Unlike the other two it is
 deterministic (seeded simulation outputs, not wall time): it asserts
 the closed-loop traffic invariants — backoff events fired, adaptive
@@ -142,44 +135,6 @@ def check_scale(
     return change <= max_regression, summary
 
 
-def check_mac(
-    baseline: dict, candidate: dict, max_regression: float
-) -> tuple[bool, str]:
-    """Gate the MAC microbenchmark from ``bench_mac.py``.
-
-    ``parity_ok`` is a seeded, deterministic verdict (batched paths
-    replayed against the scalar oracle: outcomes, counters, post-call
-    RNG state) — ``False`` always fails, regardless of timing.  The
-    batched unicast cost is then bounded against a baseline point with
-    the same fan-out and payload (per-transmission minima, so values
-    are comparable across call counts).  Reports that predate the MAC
-    harness skip this gate instead of failing it.
-    """
-    cand = candidate.get("mac")
-    if cand is None:
-        return True, "mac: skipped (section missing from candidate)"
-    if not cand.get("parity_ok"):
-        return False, "mac: batched-vs-scalar parity BROKEN"
-    c = cand["unicast"]["batched_us_per_tx"]
-    base = baseline.get("mac")
-    if (
-        base is None
-        or base.get("fanout") != cand.get("fanout")
-        or base.get("payload_bytes") != cand.get("payload_bytes")
-    ):
-        return True, (
-            f"mac: parity OK, batched unicast {c:.2f} µs/tx "
-            "(no config-matched baseline)"
-        )
-    b = base["unicast"]["batched_us_per_tx"]
-    change = c / b - 1.0
-    summary = (
-        f"mac [batched unicast µs/tx]: baseline {b:.2f}, "
-        f"candidate {c:.2f} ({change:+.1%}; limit +{max_regression:.0%})"
-    )
-    return change <= max_regression, summary
-
-
 def check_traffic(
     baseline: dict, candidate: dict, max_regression: float
 ) -> tuple[bool, str]:
@@ -244,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     baseline = json.loads(args.baseline.read_text())
     candidate = json.loads(args.candidate.read_text())
     failed = False
-    for gate in (check, check_scale, check_mac, check_traffic):
+    for gate in (check, check_scale, check_traffic):
         ok, summary = gate(baseline, candidate, args.max_regression)
         print(summary)
         if not ok:
@@ -359,54 +314,6 @@ def test_scale_gate_falls_back_on_duration_mismatch():
 def test_scale_gate_skips_when_section_missing():
     ok, summary = check_scale(
         _report(1.0, 1000, 10.0), _scale_report(5.0), 0.25
-    )
-    assert ok and "skipped" in summary
-
-
-def _mac_report(batched_us: float, parity: bool = True) -> dict:
-    report = _report(1.0, 1000, 10.0)
-    report["mac"] = {
-        "parity_ok": parity,
-        "fanout": 64,
-        "payload_bytes": 512,
-        "unicast": {
-            "scalar_us_per_tx": batched_us * 1.3,
-            "batched_us_per_tx": batched_us,
-            "speedup": 1.3,
-        },
-    }
-    return report
-
-
-def test_mac_gate_fails_on_broken_parity():
-    # Parity is a correctness verdict: it fails even with a faster
-    # candidate.
-    ok, summary = check_mac(
-        _mac_report(5.0), _mac_report(1.0, parity=False), 0.25
-    )
-    assert not ok and "parity" in summary
-
-
-def test_mac_gate_bounds_batched_cost():
-    ok, summary = check_mac(_mac_report(5.0), _mac_report(5.8), 0.25)
-    assert ok and "batched unicast" in summary
-    ok, _ = check_mac(_mac_report(5.0), _mac_report(7.0), 0.25)
-    assert not ok
-
-
-def test_mac_gate_skips_unmatched_or_missing_baseline():
-    cand = _mac_report(5.0)
-    ok, summary = check_mac(_report(1.0, 1000, 10.0), cand, 0.25)
-    assert ok and "no config-matched baseline" in summary
-    base = _mac_report(1.0)
-    base["mac"]["fanout"] = 32
-    ok, summary = check_mac(base, cand, 0.25)
-    assert ok and "no config-matched baseline" in summary
-
-
-def test_mac_gate_skips_when_candidate_section_missing():
-    ok, summary = check_mac(
-        _mac_report(5.0), _report(1.0, 1000, 10.0), 0.25
     )
     assert ok and "skipped" in summary
 

@@ -563,10 +563,9 @@ class AlertProtocol(RoutingProtocol):
 
         # Step 2 for the *previous* packet: holders release it now.
         # Releases are prepared (scramble draws come from the protocol
-        # stream) and then transmitted as one fan-out: the MAC resolves
-        # every holder's contention in a single batched call — RNG
-        # streams are per-subsystem, so hoisting the MAC draws past the
-        # scramble draws is stream-neutral and the trace bit-identical.
+        # stream) and then broadcast one holder after another — RNG
+        # streams are per-subsystem, so sending after all scramble draws
+        # rather than between them leaves every stream's draws unchanged.
         releases: list[tuple[int, Packet, int | None]] = []
         for holder_id, held in state.holders:
             held_pkt: Packet = held  # type: ignore[assignment]

@@ -17,7 +17,7 @@ tracks.
 RNG draw-order contract
 -----------------------
 Every golden trace depends on the MAC consuming its ``rng`` stream in
-exactly this order, so any batch path must replay it draw for draw:
+exactly this order:
 
 * ``unicast``: per attempt (up to ``max_retries + 1``), first one
   ``integers(0, cw + 1)`` backoff-slot draw (``cw`` doubling from
@@ -29,17 +29,7 @@ exactly this order, so any batch path must replay it draw for draw:
   ``random()`` draw — always exactly two.
 
 The interleaving (slot draw, then coin-flip, per attempt) means the
-draws of one exchange can never be hoisted into a single vector call:
-:meth:`unicast_batch` / :meth:`broadcast_batch` therefore run a
-*scalar-replay chain* — they issue the identical scalar draws in the
-identical per-receiver order, and vectorise only the arithmetic around
-them (airtime, propagation, failure probabilities, outcome assembly).
-The parity suite ``tests/test_batched_mac.py`` pins outcomes, counters,
-drop-listener order, and the post-call generator state against the
-scalar oracle.  ``_attempt_failure_prob`` memoises per distinct load
-value, so batch and scalar paths share the exact same ``np.exp``-derived
-floats (NumPy's vectorised ``exp`` is *not* bit-identical to its scalar
-path on every input, so the batch path must not re-derive them).
+draws of one exchange can never be hoisted into a single vector call.
 """
 
 from __future__ import annotations
@@ -56,10 +46,8 @@ from repro.net.radio import RadioModel
 #: Fires synchronously with the ``drops_total`` increment.
 DropListener = Callable[[int | None], None]
 
-#: Fan-out size at which the batch paths (``unicast_batch`` /
-#: ``broadcast_batch``) leave the scalar loop: below this the loop
-#: overhead is too small to amortise the vector setup.  Mirrors the
-#: cutover pattern of ``routing.gpsr.next_hop_greedy_batched``.
+# bench/spans.py resolves _BATCH_MIN, unicast_batch and broadcast_batch by
+# name; drop all three once its SITES no longer list them.
 _BATCH_MIN = 8
 
 
@@ -128,8 +116,7 @@ class Mac80211Dcf:
         #: ``_attempt_failure_prob`` memo keyed by load value.  Loads
         #: are small in-flight *counts* (a handful of distinct floats
         #: per run), so the dict stays tiny while sparing a transcendental
-        #: per exchange — and it guarantees batch paths reuse the exact
-        #: scalar-path floats (see module docstring).
+        #: per exchange.
         self._pfail_cache: dict[float, float] = {}
         # counters (diagnostics / energy accounting)
         self.attempts_total = 0
@@ -206,148 +193,20 @@ class Mac80211Dcf:
         return MacOutcome(False, delay, 1)
 
     # ------------------------------------------------------------------
-    # batch paths (scalar-replay chains — see module docstring)
-    # ------------------------------------------------------------------
     def unicast_batch(
         self,
-        payload_bytes: int | Sequence[int],
-        distances_m: Sequence[float] | np.ndarray,
-        local_loads: Sequence[float] | np.ndarray,
-        flows: Sequence[int | None] | None = None,
+        payload_bytes: int,
+        distances_m: Sequence[float],
+        local_loads: Sequence[float],
     ) -> list[MacOutcome]:
-        """Resolve a fan-out of unicast exchanges, bit-identical to a
-        scalar loop over :meth:`unicast`.
-
-        ``payload_bytes`` may be one size shared by the whole fan-out or
-        a per-exchange sequence.  Airtime, propagation, and failure
-        probabilities are priced for all exchanges up front; the
-        data-dependent retry chains then replay the scalar draw order
-        per receiver (stop-on-success consumes exactly the same RNG
-        prefix).  Below ``_BATCH_MIN`` the scalar loop *is* the
-        implementation.
-        """
-        n = len(distances_m)
-        if flows is None:
-            flows = [None] * n
-        if n < _BATCH_MIN:
-            sizes = (
-                [payload_bytes] * n
-                if isinstance(payload_bytes, int)
-                else payload_bytes
-            )
-            return [
-                self.unicast(sizes[k], distances_m[k], local_loads[k], flows[k])
-                for k in range(n)
-            ]
-        tx_time = self.radio.tx_time
-        if isinstance(payload_bytes, int):
-            airtimes = [tx_time(payload_bytes)] * n
-        else:
-            airtimes = [tx_time(int(s)) for s in payload_bytes]
-        props = self.radio.propagation_delay_batch(
-            np.asarray(distances_m, dtype=np.float64)
-        ).tolist()
-        pfail = self._attempt_failure_prob
-        pfails = [pfail(float(ld)) for ld in local_loads]
-
-        rng_integers = self._rng.integers
-        rng_random = self._rng.random
-        cw_min = self.cw_min
-        cw_max = self.cw_max
-        slot_s = self.slot_s
-        difs_s = self.difs_s
-        sifs_ack = self.sifs_s + self._ack_airtime
-        last_attempt = self.max_retries
-        listener = self.drop_listener
-        attempts_total = self.attempts_total
-        collisions_total = self.collisions_total
-        outcomes: list[MacOutcome] = []
-        append = outcomes.append
-        for k in range(n):
-            airtime = airtimes[k]
-            prop = props[k]
-            p_fail = pfails[k]
-            delay = 0.0
-            cw = cw_min
-            attempt = 0
-            while True:
-                attempts_total += 1
-                # Same left-to-right association as the scalar path:
-                # ((difs + slots·slot) + airtime) + prop.
-                delay += (
-                    difs_s
-                    + int(rng_integers(0, cw + 1)) * slot_s
-                    + airtime
-                    + prop
-                )
-                if rng_random() >= p_fail:
-                    # Scalar adds (sifs + ack) + prop as one term.
-                    append(
-                        MacOutcome(True, delay + (sifs_ack + prop), attempt + 1)
-                    )
-                    break
-                collisions_total += 1
-                if attempt == last_attempt:
-                    # Flush the running counters before the listener
-                    # fires: it may observe them, and the scalar path
-                    # keeps them exact at every drop.
-                    self.attempts_total = attempts_total
-                    self.collisions_total = collisions_total
-                    self.drops_total += 1
-                    if listener is not None:
-                        listener(flows[k])
-                    append(MacOutcome(False, delay, attempt + 1))
-                    break
-                attempt += 1
-                cw = min(cw + cw, cw_max)
-        self.attempts_total = attempts_total
-        self.collisions_total = collisions_total
-        return outcomes
+        """A loop of :meth:`unicast` calls, one per receiver."""
+        return [
+            self.unicast(payload_bytes, d, load)
+            for d, load in zip(distances_m, local_loads)
+        ]
 
     def broadcast_batch(
-        self,
-        payload_bytes: int | Sequence[int],
-        local_loads: Sequence[float] | np.ndarray,
+        self, payload_bytes: int, local_loads: Sequence[float]
     ) -> list[MacOutcome]:
-        """Resolve a fan-out of independent broadcasts, bit-identical to
-        a scalar loop over :meth:`broadcast`.
-
-        Each broadcast consumes exactly two draws (slot, coin-flip),
-        replayed in per-sender order; airtimes and failure
-        probabilities are shared/memoised across the fan-out.
-        """
-        n = len(local_loads)
-        if n < _BATCH_MIN:
-            sizes = (
-                [payload_bytes] * n
-                if isinstance(payload_bytes, int)
-                else payload_bytes
-            )
-            return [
-                self.broadcast(sizes[k], local_loads[k]) for k in range(n)
-            ]
-        tx_time = self.radio.tx_time
-        if isinstance(payload_bytes, int):
-            airtimes = [tx_time(payload_bytes)] * n
-        else:
-            airtimes = [tx_time(int(s)) for s in payload_bytes]
-        pfail = self._attempt_failure_prob
-        pfails = [pfail(float(ld)) for ld in local_loads]
-        rng_integers = self._rng.integers
-        rng_random = self._rng.random
-        cw_hi = self.cw_min + 1
-        slot_s = self.slot_s
-        difs_s = self.difs_s
-        collisions = 0
-        outcomes: list[MacOutcome] = []
-        append = outcomes.append
-        for k in range(n):
-            delay = difs_s + int(rng_integers(0, cw_hi)) * slot_s + airtimes[k]
-            if rng_random() >= pfails[k]:
-                append(MacOutcome(True, delay, 1))
-            else:
-                collisions += 1
-                append(MacOutcome(False, delay, 1))
-        self.attempts_total += n
-        self.collisions_total += collisions
-        return outcomes
+        """A loop of :meth:`broadcast` calls, one per sender."""
+        return [self.broadcast(payload_bytes, load) for load in local_loads]

@@ -25,7 +25,7 @@ from repro.geometry.field import Field
 from repro.geometry.primitives import Point, Rect
 from repro.geometry.spatial_index import GridIndex
 from repro.mobility.base import MobilityModel, SnapshotInterpolator
-from repro.net.mac import _BATCH_MIN, Mac80211Dcf, MacOutcome
+from repro.net.mac import Mac80211Dcf, MacOutcome
 from repro.net.neighbor_table import NeighborEntry, NeighborTable
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
@@ -338,33 +338,6 @@ class Network:
             self._in_flight, (self.engine.now + duration, origin.x, origin.y)
         )
 
-    def _local_loads_batch(self, around: Sequence[Point]) -> np.ndarray:
-        """Vectorised :meth:`_local_load` for many query points at once.
-
-        One expiry sweep (all queries share ``now``), then one pairwise
-        pass over the surviving in-flight entries — the same
-        ``dx·dx + dy·dy <= cs²`` float64 predicate as the scalar loop,
-        so every count is bit-identical.  Returns int64 counts; callers
-        convert to float exactly as ``_local_load`` does.
-        """
-        now = self.engine.now
-        in_flight = self._in_flight
-        while in_flight and in_flight[0][0] <= now:
-            heapq.heappop(in_flight)
-        k = len(around)
-        if not in_flight:
-            return np.zeros(k, dtype=np.int64)
-        qx = np.fromiter((p.x for p in around), dtype=np.float64, count=k)
-        qy = np.fromiter((p.y for p in around), dtype=np.float64, count=k)
-        flight = np.array(in_flight, dtype=np.float64)
-        dx = flight[:, 1][:, None] - qx
-        dy = flight[:, 2][:, None] - qy
-        dx *= dx
-        dy *= dy
-        dx += dy
-        cs2 = self.cs_range * self.cs_range
-        return (dx <= cs2).sum(axis=0)
-
     # ------------------------------------------------------------------
     # communication primitives
     # ------------------------------------------------------------------
@@ -407,7 +380,7 @@ class Network:
             outcome = MacOutcome(False, airtime, 1)
             reason = "dead-receiver"
         elif not self.radio.in_range(dist):
-            # All retries burn airtime with no receiver in range.
+            # One attempt burns airtime with no receiver in range.
             outcome = MacOutcome(False, airtime, 1)
             reason = "out-of-range"
         else:
@@ -487,26 +460,6 @@ class Network:
         spos = sender.position(now)
         packet.record_visit(sender_id)
         outcome = self.mac.broadcast(packet.size_bytes, self._local_load(spos))
-        return self._finish_broadcast(
-            sender_id, spos, packet, outcome, on_delivered, flow, restrict_to
-        )
-
-    def _finish_broadcast(
-        self,
-        sender_id: int,
-        spos: Point,
-        packet: Packet,
-        outcome: MacOutcome,
-        on_delivered: Callable[[Node, Packet], None] | None,
-        flow: int | None,
-        restrict_to: Sequence[int] | None,
-    ) -> list[int]:
-        """Everything after the MAC exchange of one broadcast: counters,
-        in-flight registration, listener, and the receiver fan-out —
-        shared verbatim by :meth:`local_broadcast` and the batched
-        :meth:`broadcast_fanout`."""
-        now = self.engine.now
-        sender = self.nodes[sender_id]
         sender.tx_count += outcome.attempts
         packet.transmissions += outcome.attempts
         self.broadcast_tx += outcome.attempts
@@ -560,62 +513,20 @@ class Network:
         on_delivered: Callable[[Node, Packet], None] | None = None,
         restrict_to: Sequence[int] | None = None,
     ) -> list[list[int]]:
-        """A fan-out of :meth:`local_broadcast` calls, resolved in batch.
+        """A fan-out of :meth:`local_broadcast` calls at one instant.
 
         ``txs`` is a sequence of ``(sender_id, packet, flow)`` triples
-        sharing the current instant (e.g. ALERT's holder-release storm).
-        Above the MAC's ``_BATCH_MIN`` the fan-out is priced in one
-        pass: sender loads come from a single vectorised sweep over the
-        in-flight heap plus an incremental cross-term — sender *j*'s
-        own transmission counts toward every later sender *k* within
-        carrier sense, exactly as the scalar sequence of
-        ``_local_load`` / ``_register_tx`` calls would observe — and
-        the MAC resolves all contention draws through
-        :meth:`Mac80211Dcf.broadcast_batch`'s scalar-replay chain.
-        Per-sender bookkeeping and receiver scheduling then run in the
-        same ascending order as the scalar loop, so counters, the
-        in-flight heap, engine sequence numbers, and every golden trace
-        are bit-identical (RNG streams are per-subsystem, so reordering
-        MAC draws relative to *other* streams' draws is stream-neutral).
+        sharing the current instant (e.g. ALERT's holder release).  Each
+        sender goes on the air in ``txs`` order, so sender *j*'s frame
+        is already in flight when a later sender senses the channel.
 
         Returns one receiver list per transmission, in ``txs`` order.
         """
-        if len(txs) < _BATCH_MIN:
-            return [
-                self.local_broadcast(
-                    sender_id, packet, on_delivered, flow, restrict_to
-                )
-                for sender_id, packet, flow in txs
-            ]
-        now = self.engine.now
-        nodes = self.nodes
-        positions = [nodes[s].position(now) for s, _, _ in txs]
-        for sender_id, packet, _ in txs:
-            packet.record_visit(sender_id)
-        loads = self._local_loads_batch(positions)
-        # Incremental cross-term: earlier fan-out members' transmissions
-        # are in flight (their end times exceed ``now``) by the time a
-        # later member senses the channel.
-        k = len(txs)
-        px = np.fromiter((p.x for p in positions), dtype=np.float64, count=k)
-        py = np.fromiter((p.y for p in positions), dtype=np.float64, count=k)
-        dx = px[:, None] - px
-        dy = py[:, None] - py
-        dx *= dx
-        dy *= dy
-        dx += dy
-        cs2 = self.cs_range * self.cs_range
-        loads = loads + np.tril(dx <= cs2, -1).sum(axis=1)
-        outcomes = self.mac.broadcast_batch(
-            [packet.size_bytes for _, packet, _ in txs],
-            loads.astype(np.float64),
-        )
         return [
-            self._finish_broadcast(
-                sender_id, positions[i], packet, outcomes[i],
-                on_delivered, flow, restrict_to,
+            self.local_broadcast(
+                sender_id, packet, on_delivered, flow, restrict_to
             )
-            for i, (sender_id, packet, flow) in enumerate(txs)
+            for sender_id, packet, flow in txs
         ]
 
     # ------------------------------------------------------------------

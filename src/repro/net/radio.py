@@ -7,16 +7,12 @@ of Figs. 14a/14b.
 
 A run sees only a handful of distinct frame sizes (hello beacons, data
 payload, ACK, a few control frames), so :meth:`RadioModel.tx_time`
-memoises its result per payload size; the batch helpers return airtime
-and propagation *vectors* for a whole fan-out so the network layer can
-price every receiver of a broadcast in one pass.
+memoises its result per payload size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -59,10 +55,6 @@ class RadioModel:
         """Unit-disk connectivity predicate."""
         return distance_m <= self.range_m
 
-    def in_range_mask(self, distances_m: np.ndarray) -> np.ndarray:
-        """Vector form of :meth:`in_range` over a distance array."""
-        return distances_m <= self.range_m
-
     def tx_time(self, payload_bytes: int) -> float:
         """Airtime of one frame carrying ``payload_bytes`` (memoised)."""
         t = self._tx_cache.get(payload_bytes)
@@ -72,26 +64,6 @@ class RadioModel:
             self._tx_cache[payload_bytes] = t
         return t
 
-    def tx_time_batch(self, payload_bytes: np.ndarray) -> np.ndarray:
-        """Airtimes for an array of payload sizes.
-
-        Element-by-element this is the same two-term IEEE expression as
-        :meth:`tx_time` (integer-to-float conversion, one divide, one
-        add), so the vector result is bit-identical to mapping the
-        scalar method.
-        """
-        bits = (np.asarray(payload_bytes, dtype=np.float64)
-                + self.mac_overhead_bytes) * 8.0
-        return self.phy_preamble_s + bits / self.bandwidth_bps
-
     def propagation_delay(self, distance_m: float) -> float:
         """One-way propagation delay over ``distance_m``."""
         return distance_m / self.prop_speed_mps
-
-    def propagation_delay_batch(self, distances_m: np.ndarray) -> np.ndarray:
-        """One-way propagation delays for a distance vector.
-
-        A single elementwise divide — IEEE-identical to the scalar
-        method applied per element.
-        """
-        return np.asarray(distances_m, dtype=np.float64) / self.prop_speed_mps

@@ -1,26 +1,15 @@
-"""Batched MAC contention: bit-identity against the scalar oracle.
+"""MAC per-attempt failure probability: its clamp and its zero-load floor.
 
-The batch paths (``Mac80211Dcf.unicast_batch`` / ``broadcast_batch``)
-are scalar-replay chains: they must consume the shared RNG stream draw
-for draw in the scalar per-receiver order (see the draw-order contract
-in ``net/mac.py``), so every observable — outcomes, counters, drop
-notifications, and the generator state itself — is bit-identical to a
-scalar loop.  This suite pins that equivalence with Hypothesis across
-fan-out sizes straddling ``_BATCH_MIN`` (both the delegating small-n
-path and the real batch path), randomized distances/loads/payload
-shapes, and retry-heavy load regimes that exercise the drop path, plus
-the :class:`RadioModel` helpers the batch paths price with (memoised
-``tx_time``, airtime/propagation vectors).
+``Mac80211Dcf._attempt_failure_prob`` memoises one float per distinct
+local load; these checks pin the two ends of that curve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.net.mac import _BATCH_MIN, Mac80211Dcf, MacOutcome
+from repro.net.mac import Mac80211Dcf
 from repro.net.radio import RadioModel
 
 
@@ -28,188 +17,7 @@ def _mac(seed: int, **kw) -> Mac80211Dcf:
     return Mac80211Dcf(RadioModel(), np.random.default_rng(seed), **kw)
 
 
-#: Fan-out sizes concentrated around the cutover so both the scalar
-#: delegation (n < _BATCH_MIN) and the batch path get equal coverage.
-fanouts = st.integers(min_value=0, max_value=3 * _BATCH_MIN)
-
-#: Loads up to 30 in-flight transmissions push p_fail to its 0.95 cap,
-#: so retry exhaustion (the drop path) is exercised often.
-loads = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
-
-distances = st.floats(min_value=0.0, max_value=250.0, allow_nan=False)
-
-
-@st.composite
-def unicast_cases(draw):
-    n = draw(fanouts)
-    dist = [draw(distances) for _ in range(n)]
-    load = [draw(loads) for _ in range(n)]
-    if draw(st.booleans()):
-        payload = draw(st.integers(min_value=0, max_value=2048))
-    else:
-        payload = [
-            draw(st.integers(min_value=0, max_value=2048)) for _ in range(n)
-        ]
-    flows = draw(
-        st.one_of(
-            st.none(),
-            st.lists(
-                st.one_of(st.none(), st.integers(0, 99)),
-                min_size=n,
-                max_size=n,
-            ),
-        )
-    )
-    seed = draw(st.integers(0, 2**32 - 1))
-    return payload, dist, load, flows, seed
-
-
-class TestUnicastBatchParity:
-    @given(unicast_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_bit_identical_to_scalar_loop(self, case):
-        payload, dist, load, flows, seed = case
-        n = len(dist)
-        scalar = _mac(seed)
-        batch = _mac(seed)
-        scalar_drops: list[int | None] = []
-        batch_drops: list[int | None] = []
-        # The listener snapshots the counters at firing time: the batch
-        # path must have flushed its running totals before notifying,
-        # exactly as the scalar path keeps them exact at every drop.
-        scalar.drop_listener = lambda f: scalar_drops.append(
-            (f, scalar.attempts_total, scalar.collisions_total,
-             scalar.drops_total)
-        )
-        batch.drop_listener = lambda f: batch_drops.append(
-            (f, batch.attempts_total, batch.collisions_total,
-             batch.drops_total)
-        )
-        sizes = [payload] * n if isinstance(payload, int) else payload
-        fl = flows if flows is not None else [None] * n
-        expected = [
-            scalar.unicast(sizes[k], dist[k], load[k], fl[k])
-            for k in range(n)
-        ]
-        got = batch.unicast_batch(payload, dist, load, flows)
-        assert got == expected
-        assert batch.attempts_total == scalar.attempts_total
-        assert batch.collisions_total == scalar.collisions_total
-        assert batch.drops_total == scalar.drops_total
-        assert batch_drops == scalar_drops
-        assert (
-            batch._rng.bit_generator.state
-            == scalar._rng.bit_generator.state
-        )
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_numpy_array_inputs_match_lists(self, seed):
-        """Array and list inputs resolve identically (same draws)."""
-        dist = np.linspace(5.0, 240.0, 2 * _BATCH_MIN)
-        load = np.arange(2 * _BATCH_MIN, dtype=np.float64) % 7
-        a = _mac(seed)
-        b = _mac(seed)
-        assert a.unicast_batch(512, dist, load) == b.unicast_batch(
-            512, dist.tolist(), load.tolist()
-        )
-
-    def test_small_fanout_delegates_to_scalar(self):
-        """Below _BATCH_MIN the scalar loop is the implementation."""
-        a = _mac(7)
-        b = _mac(7)
-        dist = [10.0] * (_BATCH_MIN - 1)
-        load = [1.0] * (_BATCH_MIN - 1)
-        got = a.unicast_batch(512, dist, load)
-        expected = [b.unicast(512, d, ld) for d, ld in zip(dist, load)]
-        assert got == expected
-
-    def test_empty_fanout(self):
-        mac = _mac(0)
-        state = mac._rng.bit_generator.state
-        assert mac.unicast_batch(512, [], []) == []
-        assert mac.attempts_total == 0
-        assert mac._rng.bit_generator.state == state
-
-
-class TestBroadcastBatchParity:
-    @given(
-        st.lists(loads, min_size=0, max_size=3 * _BATCH_MIN),
-        st.integers(0, 2048),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_bit_identical_to_scalar_loop(self, load, payload, seed):
-        scalar = _mac(seed)
-        batch = _mac(seed)
-        expected = [scalar.broadcast(payload, ld) for ld in load]
-        got = batch.broadcast_batch(payload, load)
-        assert got == expected
-        assert batch.attempts_total == scalar.attempts_total
-        assert batch.collisions_total == scalar.collisions_total
-        assert batch.drops_total == scalar.drops_total == 0
-        assert (
-            batch._rng.bit_generator.state
-            == scalar._rng.bit_generator.state
-        )
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_per_sender_payload_sizes(self, seed):
-        n = 2 * _BATCH_MIN
-        sizes = [64 * (k % 5) for k in range(n)]
-        load = [float(k % 4) for k in range(n)]
-        a = _mac(seed)
-        b = _mac(seed)
-        expected = [a.broadcast(sizes[k], load[k]) for k in range(n)]
-        assert b.broadcast_batch(sizes, load) == expected
-
-
-class TestRadioBatchHelpers:
-    def test_tx_time_memo_returns_identical_floats(self):
-        r = RadioModel()
-        fresh = RadioModel()
-        for size in (0, 14, 512, 512, 1024, 14):
-            assert r.tx_time(size) == fresh.tx_time(size)
-        # The memo caches one entry per distinct size, not per call.
-        assert len(r._tx_cache) == 4
-
-    def test_tx_time_batch_matches_scalar(self):
-        r = RadioModel()
-        sizes = [0, 14, 120, 512, 1024, 4096]
-        batch = r.tx_time_batch(np.array(sizes))
-        for s, t in zip(sizes, batch.tolist()):
-            assert t == r.tx_time(s)
-
-    def test_propagation_delay_batch_matches_scalar(self):
-        r = RadioModel()
-        dists = np.array([0.0, 1.0, 99.5, 250.0, 1e4])
-        batch = r.propagation_delay_batch(dists)
-        for d, t in zip(dists.tolist(), batch.tolist()):
-            assert t == r.propagation_delay(d)
-
-    def test_in_range_mask_matches_scalar(self):
-        r = RadioModel()
-        dists = np.array([0.0, 249.9, 250.0, 250.1, 1e4])
-        mask = r.in_range_mask(dists)
-        for d, m in zip(dists.tolist(), mask.tolist()):
-            assert m == r.in_range(d)
-
-
 class TestPfailMemo:
-    def test_memo_shared_between_scalar_and_batch(self):
-        """Both paths must price failure from the same memoised float.
-
-        NumPy's vectorised ``exp`` is not bit-identical to its scalar
-        path on every input, so the batch path must never re-derive
-        these probabilities — the memo is the single source.
-        """
-        mac = _mac(0)
-        p_scalar = mac._attempt_failure_prob(3.0)
-        assert mac._pfail_cache[3.0] == p_scalar
-        mac.unicast_batch(512, [10.0] * _BATCH_MIN, [3.0] * _BATCH_MIN)
-        assert mac._pfail_cache[3.0] == p_scalar
-
     def test_cap_and_base_loss(self):
         mac = _mac(0)
         assert mac._attempt_failure_prob(0.0) == pytest.approx(

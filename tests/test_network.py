@@ -190,6 +190,53 @@ class TestBroadcast:
         assert packet.header.ttl == 12
 
 
+class TestBroadcastFanout:
+    """``broadcast_fanout`` is exactly a loop of ``local_broadcast`` calls."""
+
+    @pytest.mark.parametrize("seed", [5, 19])
+    def test_matches_sequential_local_broadcasts(self, seed):
+        fan = build_network(seed=seed)
+        seq = build_network(seed=seed)
+        logs = []
+        for net in (fan, seq):
+            log = []
+            logs.append(log)
+            for n in net.nodes:
+                n.on_receive = lambda node, pkt, net=net, log=log: log.append(
+                    (net.engine.now, node.id, pkt.src)
+                )
+            net.engine.schedule_in(0.3, lambda: None)
+            net.engine.run()
+            # Frames still on the air load every fan-out sender's
+            # carrier-sense count.
+            for s in (1, 2, 3):
+                net.local_broadcast(s, data_packet(src=s, dst=-1))
+        senders = list(range(4, 40, 3))
+        assert len(senders) >= 12
+        got = fan.broadcast_fanout(
+            [(s, data_packet(src=s, dst=-1, flow=s), s) for s in senders]
+        )
+        want = [
+            seq.local_broadcast(s, data_packet(src=s, dst=-1, flow=s), flow=s)
+            for s in senders
+        ]
+        assert got == want
+        assert any(got) and not all(got)  # both outcomes exercised
+        assert fan.broadcast_tx == seq.broadcast_tx
+        assert fan.airtime_tx_s == seq.airtime_tx_s
+        assert fan.airtime_rx_s == seq.airtime_rx_s
+        assert fan._in_flight == seq._in_flight
+        for attr in ("attempts_total", "collisions_total", "drops_total"):
+            assert getattr(fan.mac, attr) == getattr(seq.mac, attr)
+        assert (
+            fan.mac._rng.bit_generator.state
+            == seq.mac._rng.bit_generator.state
+        )
+        fan.engine.run()
+        seq.engine.run()
+        assert logs[0] and logs[0] == logs[1]
+
+
 class TestHello:
     def test_beacons_populate_neighbor_tables(self, small_network):
         net = small_network

@@ -36,6 +36,14 @@ class TestRadioModel:
         r = RadioModel()
         assert r.propagation_delay(300.0) == pytest.approx(1e-6, rel=1e-3)
 
+    def test_tx_time_memo_returns_identical_floats(self):
+        r = RadioModel()
+        fresh = RadioModel()
+        for size in (0, 14, 512, 512, 1024, 14):
+            assert r.tx_time(size) == fresh.tx_time(size)
+        # The memo caches one entry per distinct size, not per call.
+        assert len(r._tx_cache) == 4
+
 
 class TestMacUnicast:
     def _mac(self, seed=0, **kw):
