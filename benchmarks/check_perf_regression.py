@@ -14,19 +14,16 @@ round) amortises over 6x fewer events in a quick run.  Full profiles
 therefore also record an ``alert_run_quick`` section measured at the
 quick duration; the gate picks the baseline section whose
 ``sim_duration_s`` matches the candidate and compares **mean wall
-time** over that identical workload.  When no section matches (older
-baselines), it falls back to per-event cost (``mean_s /
-events_processed``), which is only approximately duration-invariant.
+time** over that identical workload.  When no section matches, the
+gate fails and names the duration it looked for.
 
 A second gate covers the ``scale`` section written by
 ``benchmarks/bench_scale.py``: CI's ``--quick`` run records one N=1000
 point at the same config and duration as the committed baseline's, so
-loop times are directly comparable.  The gate prefers ``loop_min_s``
+loop times are directly comparable.  The gate compares ``loop_min_s``
 (minimum loop time over the point's reps — the least-interference
 estimator, stable where a mean of one or two draws swings with
-scheduler noise) and falls back to ``loop_mean_s`` for reports that
-predate the field.  Reports that predate the scale harness entirely
-skip this gate instead of failing it.
+scheduler noise).
 
 A third gate covers the ``traffic`` section written by
 ``benchmarks/bench_traffic_adaptive.py``.  Unlike the other two it is
@@ -35,6 +32,9 @@ the closed-loop traffic invariants — backoff events fired, adaptive
 offered load below CBR's, goodput within 10 % of the CBR baseline —
 and additionally bounds the goodput-ratio drop against a
 duration-matched baseline point when one exists.
+
+Every gate fails, naming the section, when a report lacks the section
+it reads.
 
 Caveats the threshold absorbs: CI runners are not the machine the
 baseline was recorded on, and a 200-node quick run is ~0.2 s of
@@ -52,46 +52,27 @@ import sys
 from pathlib import Path
 
 
-def _events(run: dict) -> int:
-    events = run.get("events_processed")
-    if not events:
-        raise KeyError(
-            "alert_run has no events_processed; regenerate the report "
-            "with the current benchmarks/bench_perf_core.py"
-        )
-    return events
-
-
-def pick_comparison(baseline: dict, candidate: dict) -> tuple[float, float, str]:
-    """Return (baseline_cost, candidate_cost, label) for the gate.
-
-    Prefers a baseline section recorded at the candidate's simulated
-    duration (identical workload -> compare means); otherwise falls
-    back to per-event cost across mismatched durations.
-    """
-    cand = candidate["timings"]["alert_run"]
-    for key in ("alert_run_quick", "alert_run"):
-        base = baseline["timings"].get(key)
-        if base is None:
-            continue
-        if base.get("sim_duration_s") == cand.get("sim_duration_s"):
-            return base["mean_s"], cand["mean_s"], f"mean_s vs {key}"
-    base = baseline["timings"]["alert_run"]
-    return (
-        base["mean_s"] / _events(base),
-        cand["mean_s"] / _events(cand),
-        "per-event cost (no duration-matched baseline section)",
-    )
-
-
 def check(
     baseline: dict, candidate: dict, max_regression: float
 ) -> tuple[bool, str]:
-    """Compare alert_run costs; returns (ok, human-readable summary)."""
-    base, cand, label = pick_comparison(baseline, candidate)
+    """Compare alert_run mean wall time against the baseline section
+    recorded at the candidate's simulated duration (identical
+    workload); returns (ok, human-readable summary)."""
+    run = candidate["timings"]["alert_run"]
+    duration = run.get("sim_duration_s")
+    for key in ("alert_run_quick", "alert_run"):
+        section = baseline["timings"].get(key)
+        if section is not None and section.get("sim_duration_s") == duration:
+            break
+    else:
+        return False, (
+            "alert_run: baseline has no alert_run_quick/alert_run section "
+            f"at sim_duration_s={duration}"
+        )
+    base, cand = section["mean_s"], run["mean_s"]
     change = cand / base - 1.0
     summary = (
-        f"alert_run [{label}]: baseline {base * 1e3:.3f} ms, "
+        f"alert_run [mean_s vs {key}]: baseline {base * 1e3:.3f} ms, "
         f"candidate {cand * 1e3:.3f} ms ({change:+.1%}; "
         f"limit +{max_regression:.0%})"
     )
@@ -106,30 +87,25 @@ def check_scale(
     ``bench_scale.py --quick`` and the committed full profile both run
     the same config (seed, field, pairs) at the same simulated
     duration, so loop times are directly comparable — no amortisation
-    caveat.  Prefers ``loop_min_s`` (min over reps; wall-clock noise
+    caveat.  Compares ``loop_min_s`` (min over reps; wall-clock noise
     only ever adds time, so the minimum is the tightest estimate of
-    true cost) and falls back to ``loop_mean_s`` when either report
-    predates that field.  If either report predates the scale harness,
-    the gate is skipped rather than failed so older baselines don't
-    block CI.
+    true cost).
     """
     base = (baseline.get("scale") or {}).get("n1000")
     cand = (candidate.get("scale") or {}).get("n1000")
-    if base is None or cand is None:
-        return True, "scale n1000: skipped (section missing from a report)"
-    if base.get("sim_duration_s") == cand.get("sim_duration_s"):
-        if "loop_min_s" in base and "loop_min_s" in cand:
-            b, c = base["loop_min_s"], cand["loop_min_s"]
-            label = "loop_min_s"
-        else:
-            b, c = base["loop_mean_s"], cand["loop_mean_s"]
-            label = "loop_mean_s"
-    else:
-        b, c = base["us_per_event"], cand["us_per_event"]
-        label = "us_per_event (duration mismatch)"
+    for name, point in (("baseline", base), ("candidate", cand)):
+        if point is None:
+            return False, f"scale n1000: section missing from {name} report"
+    if base.get("sim_duration_s") != cand.get("sim_duration_s"):
+        return False, (
+            f"scale n1000: sim_duration_s differs (baseline "
+            f"{base.get('sim_duration_s')}, candidate "
+            f"{cand.get('sim_duration_s')})"
+        )
+    b, c = base["loop_min_s"], cand["loop_min_s"]
     change = c / b - 1.0
     summary = (
-        f"scale n1000 [{label}]: baseline {b:.4g}, candidate {c:.4g} "
+        f"scale n1000 [loop_min_s]: baseline {b:.4g}, candidate {c:.4g} "
         f"({change:+.1%}; limit +{max_regression:.0%})"
     )
     return change <= max_regression, summary
@@ -146,13 +122,12 @@ def check_traffic(
     sits below CBR's, and adaptive goodput stays within 10 % of the CBR
     baseline.  When the baseline report has a duration-matched point,
     the goodput ratio is additionally not allowed to drop by more than
-    ``max_regression`` relative to it.  Reports that predate the traffic
-    harness skip this gate instead of failing it.
+    ``max_regression`` relative to it.
     """
     cand_section = candidate.get("traffic") or {}
     cand = cand_section.get("quick_point") or cand_section.get("full_point")
     if cand is None:
-        return True, "traffic: skipped (section missing from candidate)"
+        return False, "traffic: section missing from candidate report"
     ratio = cand["goodput_ratio"]
     problems = []
     if cand["adaptive"]["backoff_events"] <= 0:
@@ -211,130 +186,76 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _report(mean_s: float, events: int, duration: float = 60.0, **extra) -> dict:
-    timings = {
-        "alert_run": {
-            "mean_s": mean_s,
-            "events_processed": events,
-            "sim_duration_s": duration,
-        }
-    }
+def _report(mean_s: float, duration: float = 10.0, **extra) -> dict:
+    timings = {"alert_run": {"mean_s": mean_s, "sim_duration_s": duration}}
     timings.update(extra)
     return {"timings": timings}
 
 
 def test_gate_passes_within_limit():
-    ok, summary = check(
-        _report(1.0, 1000, 10.0), _report(1.17, 1000, 10.0), 0.25
-    )
+    ok, summary = check(_report(1.0), _report(1.17), 0.25)
     assert ok and "+17.0%" in summary
 
 
 def test_gate_fails_beyond_limit():
-    ok, _ = check(_report(1.0, 1000, 10.0), _report(1.5, 1000, 10.0), 0.25)
+    ok, _ = check(_report(1.0), _report(1.5), 0.25)
     assert not ok
 
 
 def test_gate_prefers_duration_matched_quick_section():
     # Full baseline with a quick section: candidate at 10 s must be
-    # compared against alert_run_quick, not the 60 s run's per-event
-    # cost (setup amortisation differs across durations).
+    # compared against alert_run_quick, not the 60 s run (setup
+    # amortisation differs across durations).
     base = _report(
-        1.8,
-        41000,
-        60.0,
-        alert_run_quick={
-            "mean_s": 0.30,
-            "events_processed": 6800,
-            "sim_duration_s": 10.0,
-        },
+        1.8, 60.0, alert_run_quick={"mean_s": 0.30, "sim_duration_s": 10.0}
     )
-    ok, summary = check(base, _report(0.33, 6800, 10.0), 0.25)
+    ok, summary = check(base, _report(0.33), 0.25)
     assert ok and "alert_run_quick" in summary
-    ok, _ = check(base, _report(0.50, 6800, 10.0), 0.25)
+    ok, _ = check(base, _report(0.50), 0.25)
     assert not ok
 
 
-def test_gate_falls_back_to_per_event_cost():
-    # No duration-matched section in the baseline: per-event fallback.
-    ok, summary = check(_report(1.8, 41000, 60.0), _report(0.3, 6833, 10.0), 0.25)
-    assert ok and "per-event" in summary
+def test_gate_fails_without_duration_matched_section():
+    ok, summary = check(_report(1.8, 60.0), _report(0.3), 0.25)
+    assert not ok and "sim_duration_s=10.0" in summary
 
 
-def _scale_report(loop_s: float, events: int = 50000, duration: float = 10.0) -> dict:
-    report = _report(1.0, 1000, 10.0)
+def _with_scale(report: dict, loop_min_s: float, duration: float = 10.0) -> dict:
     report["scale"] = {
-        "n1000": {
-            "loop_mean_s": loop_s,
-            "events_processed": events,
-            "sim_duration_s": duration,
-            "us_per_event": loop_s / events * 1e6,
-        }
+        "n1000": {"loop_min_s": loop_min_s, "sim_duration_s": duration}
     }
     return report
 
 
-def test_scale_gate_compares_loop_means():
-    ok, summary = check_scale(_scale_report(5.0), _scale_report(5.8), 0.25)
-    assert ok and "loop_mean_s" in summary
-    ok, _ = check_scale(_scale_report(5.0), _scale_report(7.0), 0.25)
-    assert not ok
-
-
-def test_scale_gate_prefers_loop_min():
-    # When both reports carry loop_min_s, the gate compares minima and
-    # ignores the (noisier) means entirely.
-    base = _scale_report(5.0)
-    base["scale"]["n1000"]["loop_min_s"] = 4.0
-    cand = _scale_report(9.0)  # mean alone would fail the gate
-    cand["scale"]["n1000"]["loop_min_s"] = 4.5
-    ok, summary = check_scale(base, cand, 0.25)
+def test_scale_gate_compares_loop_minima():
+    base = _with_scale(_report(1.0), 4.0)
+    ok, summary = check_scale(base, _with_scale(_report(1.0), 4.5), 0.25)
     assert ok and "loop_min_s" in summary
-    cand["scale"]["n1000"]["loop_min_s"] = 6.0
-    ok, _ = check_scale(base, cand, 0.25)
+    ok, _ = check_scale(base, _with_scale(_report(1.0), 6.0), 0.25)
     assert not ok
 
 
-def test_scale_gate_mean_fallback_on_one_sided_min():
-    # Older baseline without loop_min_s: fall back to means even though
-    # the candidate records a minimum.
-    cand = _scale_report(5.8)
-    cand["scale"]["n1000"]["loop_min_s"] = 5.5
-    ok, summary = check_scale(_scale_report(5.0), cand, 0.25)
-    assert ok and "loop_mean_s" in summary
+def test_scale_gate_fails_on_duration_mismatch():
+    base = _with_scale(_report(1.0), 30.0, duration=60.0)
+    ok, summary = check_scale(base, _with_scale(_report(1.0), 5.2), 0.25)
+    assert not ok and "sim_duration_s differs" in summary
 
 
-def test_scale_gate_falls_back_on_duration_mismatch():
-    base = _scale_report(30.0, events=300000, duration=60.0)
-    cand = _scale_report(5.2, events=50000, duration=10.0)
-    ok, summary = check_scale(base, cand, 0.25)
-    assert ok and "duration mismatch" in summary
-
-
-def test_scale_gate_skips_when_section_missing():
+def test_scale_gate_fails_when_section_missing():
     ok, summary = check_scale(
-        _report(1.0, 1000, 10.0), _scale_report(5.0), 0.25
+        _report(1.0), _with_scale(_report(1.0), 5.0), 0.25
     )
-    assert ok and "skipped" in summary
+    assert not ok and "missing from baseline report" in summary
 
 
-def test_main_fails_on_scale_regression(tmp_path):
-    base = tmp_path / "base.json"
-    cand = tmp_path / "cand.json"
-    base.write_text(json.dumps(_scale_report(5.0)))
-    cand.write_text(json.dumps(_scale_report(9.0)))  # alert_run unchanged
-    rc = main(["--baseline", str(base), "--candidate", str(cand)])
-    assert rc == 1
-
-
-def _traffic_report(
+def _with_traffic(
+    report: dict,
     ratio: float,
     backoffs: int = 1500,
     offered: tuple[float, float] = (455.0, 420.0),
     duration: float = 12.0,
     point: str = "quick_point",
 ) -> dict:
-    report = _report(1.0, 1000, 10.0)
     cbr_off, ad_off = offered
     report["traffic"] = {
         point: {
@@ -349,6 +270,10 @@ def _traffic_report(
         }
     }
     return report
+
+
+def _traffic_report(ratio: float, **kwargs) -> dict:
+    return _with_traffic(_report(1.0), ratio, **kwargs)
 
 
 def test_traffic_gate_passes_on_healthy_point():
@@ -381,11 +306,9 @@ def test_traffic_gate_fails_when_load_not_cut():
     assert not ok and "not below CBR" in summary
 
 
-def test_traffic_gate_skips_without_candidate_section():
-    ok, summary = check_traffic(
-        _traffic_report(0.95), _report(1.0, 1000, 10.0), 0.25
-    )
-    assert ok and "skipped" in summary
+def test_traffic_gate_fails_without_candidate_section():
+    ok, summary = check_traffic(_traffic_report(0.95), _report(1.0), 0.25)
+    assert not ok and "traffic: section missing" in summary
 
 
 def test_traffic_gate_ignores_duration_mismatched_baseline():
@@ -396,25 +319,37 @@ def test_traffic_gate_ignores_duration_mismatched_baseline():
     assert ok and "vs quick_point" not in summary
 
 
-def test_main_fails_on_traffic_violation(tmp_path):
+def _full_report(
+    mean_s: float = 1.0, loop_min_s: float = 5.0, backoffs: int = 1500
+) -> dict:
+    report = _with_scale(_report(mean_s), loop_min_s)
+    return _with_traffic(report, 0.95, backoffs=backoffs)
+
+
+def _main_rc(tmp_path, baseline: dict, candidate: dict) -> int:
     base = tmp_path / "base.json"
     cand = tmp_path / "cand.json"
-    base.write_text(json.dumps(_traffic_report(0.95)))
-    cand.write_text(json.dumps(_traffic_report(0.95, backoffs=0)))
-    rc = main(["--baseline", str(base), "--candidate", str(cand)])
-    assert rc == 1
+    base.write_text(json.dumps(baseline))
+    cand.write_text(json.dumps(candidate))
+    return main(["--baseline", str(base), "--candidate", str(cand)])
+
+
+def test_main_fails_on_scale_regression(tmp_path):
+    # alert_run and traffic unchanged
+    assert _main_rc(tmp_path, _full_report(), _full_report(loop_min_s=9.0)) == 1
+
+
+def test_main_fails_on_traffic_violation(tmp_path):
+    assert _main_rc(tmp_path, _full_report(), _full_report(backoffs=0)) == 1
+
+
+def test_main_fails_on_missing_section(tmp_path):
+    assert _main_rc(tmp_path, _full_report(), _report(1.0)) == 1
 
 
 def test_gate_main_roundtrip(tmp_path):
-    base = tmp_path / "base.json"
-    cand = tmp_path / "cand.json"
-    base.write_text(json.dumps(_report(1.0, 1000, 10.0)))
-    cand.write_text(json.dumps(_report(2.0, 1000, 10.0)))
-    rc = main(["--baseline", str(base), "--candidate", str(cand)])
-    assert rc == 1
-    cand.write_text(json.dumps(_report(1.0, 1000, 10.0)))
-    rc = main(["--baseline", str(base), "--candidate", str(cand)])
-    assert rc == 0
+    assert _main_rc(tmp_path, _full_report(), _full_report(mean_s=2.0)) == 1
+    assert _main_rc(tmp_path, _full_report(), _full_report()) == 0
 
 
 if __name__ == "__main__":

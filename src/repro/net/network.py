@@ -586,8 +586,9 @@ class Network:
         ``GridIndex.query_radius``'s arithmetic (the candidate set is a
         superset filtered by this exact predicate), so the accepted
         pairs — and therefore every metric — are bit-identical to the
-        scalar round, kept alongside as
-        :meth:`_emit_hello_round_scalar`.
+        scalar round (one beacon per live node in ascending order,
+        receivers from :meth:`neighbors_of`) that the test suite keeps
+        as its reference oracle.
         """
         now = self.engine.now
         nodes = self.nodes
@@ -839,33 +840,8 @@ class Network:
             nt._columns = None
             a = b
 
-    def _emit_hello_round_scalar(self) -> None:
-        """Reference scalar round (kept for parity tests/benchmarks)."""
-        for node in self.nodes:
-            if node.active:
-                self._emit_hello(node)
-
     def stop_hello(self) -> None:
         """Stop all beacon tasks (end of a run)."""
         for task in self._hello_tasks:
             task.stop()
         self._hello_tasks.clear()
-
-    def _emit_hello(self, node: Node) -> None:
-        """Deliver one beacon: update in-range nodes' neighbor tables."""
-        now = self.engine.now
-        self.hello_tx += 1
-        node.tx_count += 1
-        hello_air = self.radio.tx_time(self.hello_size_bytes)
-        self.airtime_tx_s += hello_air
-        entry_template = NeighborEntry(
-            link_address=node.id,
-            pseudonym=node.pseudonym_at(now),
-            position=node.position(now),
-            public_key=node.keypair.public,
-            last_seen=now,
-        )
-        receivers = self.neighbors_of(node.id)
-        self.airtime_rx_s += hello_air * len(receivers)
-        for rid in receivers:
-            self.nodes[rid].neighbors.update(entry_template)

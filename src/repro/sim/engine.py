@@ -26,65 +26,28 @@ the heap is compacted once more than half of it is dead so
 cancellation-heavy workloads (retransmit timers) cannot grow it
 unboundedly.
 
-Batch-execution fast lane
--------------------------
-Two further structures take the large-field (10k-node) workloads out
-of the per-event heap churn without perturbing the global
-``(time, priority, seq)`` order:
-
-* a **calendar-queue timer lane** (:meth:`schedule_timer_in`) for the
-  strictly-periodic schedule — hello rounds, CBR/adaptive traffic
-  ticks, ALARM dissemination.  Entries land in coarse time buckets
-  (sorted only when their bucket is promoted) instead of sifting
-  through the heap; the pop loop fires whichever of (heap head,
-  calendar head) is globally smallest.  Sequence numbers come from the
-  same counter as every other lane, so the merge is a plain tuple
-  comparison and the firing order is identical to a single heap *by
-  construction*.
-* **batched delivery records** (:meth:`schedule_deliver_batch`) for
-  co-temporal broadcast fan-outs: one heap entry carries the whole
-  receiver block and reserves one sequence number per record, so the
-  block dispatches back-to-back exactly where ``n`` individual records
-  would have fired, at one heap push/pop for the lot.  ``stop()``
-  mid-block re-queues the unfired tail as individual records under
-  their reserved sequence numbers.
+Batched delivery records
+------------------------
+Co-temporal broadcast fan-outs (:meth:`schedule_deliver_batch`) ride
+one heap entry that carries the whole receiver block and reserves one
+sequence number per record, so the block dispatches back-to-back
+exactly where ``n`` individual records would have fired, at one heap
+push/pop for the lot.  ``stop()`` mid-block re-queues the unfired tail
+as individual records under their reserved sequence numbers.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from math import isfinite
 from typing import Any, Callable
 
-from repro.sim.events import (
-    Event,
-    EventHandle,
-    LANE_TIMER,
-    OP_DELIVER,
-    OP_DELIVER_BATCH,
-)
+from repro.sim.events import Event, EventHandle, OP_DELIVER, OP_DELIVER_BATCH
 from repro.sim.rng import RngRegistry
 
 #: Compaction threshold: dead entries tolerated before a rebuild is
 #: even considered (amortises tiny heaps away).
 _COMPACT_MIN = 64
-
-#: Default calendar-lane bucket width, seconds.  Periodic timers are
-#: spaced at O(1 s) intervals (hello beacons 1 s, CBR 2 s), so one
-#: bucket holds roughly one round's worth of ticks: big enough to
-#: amortise the per-bucket sort, small enough that a bucket never
-#: aggregates a large fraction of the schedule.  The width is *hashed
-#: to the workload* at runtime: callers of ``schedule_timer_in`` pass
-#: their nominal period and the lane re-keys itself to the dominant
-#: one whenever it is empty (see ``Engine._cal_width``) — firing order
-#: is width-independent by construction, so any width is equally
-#: correct; only the bucket occupancy changes.
-_CAL_WIDTH = 1.0
-
-#: Floor for the adaptive bucket width: a degenerate (or zero) period
-#: hint must not create one bucket per float ULP.
-_CAL_WIDTH_MIN = 1e-6
 
 
 class SimulationError(RuntimeError):
@@ -100,12 +63,6 @@ class Engine:
         Master seed for the engine's :class:`~repro.sim.rng.RngRegistry`.
         Two engines constructed with the same seed and fed the same
         schedule produce identical trajectories.
-    timer_lane:
-        When ``True`` (default), :meth:`schedule_timer_in` routes
-        periodic timers through the calendar-queue lane; when
-        ``False`` they fall back to the binary heap.  Firing order is
-        identical either way (the parity suite pins this) — the flag
-        exists so tests can differentially compare the two.
 
     Notes
     -----
@@ -115,7 +72,7 @@ class Engine:
       ``time <= until`` and leaves ``now`` at ``until``.
     """
 
-    def __init__(self, seed: int = 0, timer_lane: bool = True) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._now: float = 0.0
         # Heap of (time, priority, seq, fn, category, Event | None).
         self._heap: list[tuple] = []
@@ -123,23 +80,6 @@ class Engine:
         self._running: bool = False
         self._stopped: bool = False
         self._n_cancelled: int = 0
-        self._timer_lane = timer_lane
-        # Calendar-queue timer lane: coarse time buckets (unsorted
-        # until promoted), a key heap over pending buckets, and the
-        # promoted "current run" — an ascending-sorted list consumed
-        # through an index instead of pops.
-        self._cal_buckets: dict[int, list[tuple]] = {}
-        self._cal_keys: list[int] = []
-        self._cal_cur: list[tuple] = []
-        self._cal_cur_i: int = 0
-        self._cal_cur_key: int | None = None
-        self._cal_len: int = 0
-        self._cal_cancelled: int = 0
-        # Adaptive bucket width: ``schedule_timer_in`` period hints
-        # vote, and the lane re-keys to the dominant period whenever it
-        # is empty (the only moment bucket keys can change safely).
-        self._cal_width: float = _CAL_WIDTH
-        self._cal_period_votes: dict[float, int] = {}
         # Records represented by queued batch entries beyond the heap
         # slots they occupy (n - 1 per n-record batch), kept live so
         # ``pending()`` stays O(1) and exact mid-batch.
@@ -308,161 +248,17 @@ class Engine:
         )
         self._batch_extra += n - 1
 
-    def schedule_timer_in(
-        self,
-        delay: float,
-        fn: Callable[[], Any],
-        priority: int = 0,
-        category: str = "timer",
-        period: float | None = None,
-    ) -> EventHandle:
-        """Schedule a periodic-timer callback ``delay`` seconds from now.
-
-        The calendar-queue lane for strictly-periodic schedules (hello
-        rounds, traffic ticks): entries land in coarse time buckets
-        that are sorted only when promoted, so a tick costs O(bucket)
-        appends instead of a full-heap sift.  The sequence number comes
-        from the same counter as every other lane and the pop loop
-        fires the globally smallest ``(time, priority, seq)`` across
-        both structures, so the firing order is identical to
-        :meth:`schedule_in` by construction.  Always cancellable.
-
-        ``period`` optionally names the caller's nominal tick interval
-        (:class:`~repro.sim.process.PeriodicTask` passes its own).  The
-        hints vote on the lane's bucket width: whenever the lane is
-        empty — the only moment existing bucket keys cannot be
-        invalidated — the width re-keys to the most-voted period, so a
-        workload ticking every 50 ms gets 50 ms buckets instead of
-        piling 20 rounds into each 1 s one.  Width never affects firing
-        order (the parity suite runs the lane against the plain heap),
-        only bucket occupancy.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        time = self._now + delay
-        if not isfinite(time):
-            raise SimulationError(f"non-finite event time {time!r}")
-        seq = self._seq
-        self._seq = seq + 1
-        if not self._timer_lane:
-            ev = Event(time=time, priority=priority, seq=seq, fn=fn)
-            heapq.heappush(self._heap, (time, priority, seq, fn, category, ev))
-            return EventHandle(ev, self)
-        if period is not None and period > 0.0 and isfinite(period):
-            votes = self._cal_period_votes
-            votes[period] = votes.get(period, 0) + 1
-            if self._cal_len == 0:
-                self._cal_rekey()
-        ev = Event(
-            time=time, priority=priority, seq=seq, fn=fn, lane=LANE_TIMER
-        )
-        self._cal_push((time, priority, seq, fn, category, ev))
-        return EventHandle(ev, self)
-
-    # ------------------------------------------------------------------
-    # calendar-lane internals
-    # ------------------------------------------------------------------
-    def _cal_rekey(self) -> None:
-        """Re-key the (empty) calendar lane to the dominant period.
-
-        Called only while ``_cal_len == 0``: every pushed entry has
-        been consumed, so no bucket key computed under the old width
-        survives.  Ties break toward the *smaller* period (finer
-        buckets only cost a few more dict entries; coarser ones
-        aggregate rounds), and the width is floored so a degenerate
-        hint cannot shatter the lane into per-ULP buckets.
-        """
-        votes = self._cal_period_votes
-        if not votes:
-            return
-        width = max(
-            min(votes.items(), key=lambda kv: (-kv[1], kv[0]))[0],
-            _CAL_WIDTH_MIN,
-        )
-        if width != self._cal_width:
-            self._cal_width = width
-            # The promoted run is exhausted (len == 0); drop its stale
-            # key so no new push compares against an old-width key.
-            self._cal_cur = []
-            self._cal_cur_i = 0
-            self._cal_cur_key = None
-
-    def _cal_push(self, entry: tuple) -> None:
-        """File a timer entry into its calendar bucket."""
-        self._cal_len += 1
-        key = int(entry[0] / self._cal_width)
-        cur_key = self._cal_cur_key
-        if cur_key is not None:
-            if key == cur_key:
-                # Same bucket as the promoted run: keep the unfired
-                # tail sorted (times are >= now, so the insertion point
-                # is at or after the consumption index).
-                insort(self._cal_cur, entry, lo=self._cal_cur_i)
-                return
-            if key < cur_key:
-                # The clock still trails the promoted bucket and a new
-                # timer landed before it: demote the run's unfired tail
-                # and let the next peek re-promote in key order.
-                rem = self._cal_cur[self._cal_cur_i :]
-                if rem:
-                    b = self._cal_buckets.get(cur_key)
-                    if b is None:
-                        self._cal_buckets[cur_key] = rem
-                        heapq.heappush(self._cal_keys, cur_key)
-                    else:
-                        b.extend(rem)
-                self._cal_cur = []
-                self._cal_cur_i = 0
-                self._cal_cur_key = None
-        b = self._cal_buckets.get(key)
-        if b is None:
-            self._cal_buckets[key] = [entry]
-            heapq.heappush(self._cal_keys, key)
-        else:
-            b.append(entry)
-
-    def _cal_peek(self) -> tuple | None:
-        """The smallest queued timer entry, or ``None`` (amortised O(1)).
-
-        Promotes the next non-empty bucket (sorting it once) when the
-        current run is exhausted.  May return a cancelled entry — the
-        pop loops skip those exactly as they do for the heap.
-        """
-        cur = self._cal_cur
-        i = self._cal_cur_i
-        if i < len(cur):
-            return cur[i]
-        keys = self._cal_keys
-        buckets = self._cal_buckets
-        while keys:
-            key = heapq.heappop(keys)
-            b = buckets.pop(key, None)
-            if b:
-                b.sort()
-                self._cal_cur = b
-                self._cal_cur_i = 0
-                self._cal_cur_key = key
-                return b[0]
-        return None
-
     # ------------------------------------------------------------------
     # cancellation bookkeeping
     # ------------------------------------------------------------------
-    def _note_cancelled(self, ev: Event | None = None) -> None:
+    def _note_cancelled(self) -> None:
         """An ``EventHandle`` cancelled a queued event (O(1) amortised).
 
         Keeps :meth:`pending` O(1) and compacts the heap when more than
         half of it is dead, so workloads that cancel most of what they
         schedule (retransmit timers under good link conditions) hold
         the heap at O(live events) instead of growing it unboundedly.
-        Calendar-lane cancellations are only counted: dead entries are
-        reconciled when their bucket drains, and their number is
-        bounded by the (small) periodic-task population, so the lane
-        needs no compaction.
         """
-        if ev is not None and ev.lane == LANE_TIMER:
-            self._cal_cancelled += 1
-            return
         self._n_cancelled += 1
         if (
             self._n_cancelled > _COMPACT_MIN
@@ -496,26 +292,8 @@ class Engine:
         """
         heap = self._heap
         counts = self.event_counts
-        while True:
-            entry = heap[0] if heap else None
-            timer = self._cal_peek() if self._cal_len else None
-            if timer is not None and (entry is None or timer < entry):
-                self._cal_cur_i += 1
-                self._cal_len -= 1
-                ev = timer[5]
-                if ev.cancelled:
-                    self._cal_cancelled -= 1
-                    continue
-                ev.fired = True
-                self._now = timer[0]
-                self.events_processed += 1
-                category = timer[4]
-                counts[category] = counts.get(category, 0) + 1
-                timer[3]()
-                return True
-            if entry is None:
-                return False
-            heapq.heappop(heap)
+        while heap:
+            entry = heapq.heappop(heap)
             fn = entry[3]
             if type(fn) is int:
                 # Typed delivery record: dispatch without a callback.
@@ -558,6 +336,7 @@ class Engine:
             counts[category] = counts.get(category, 0) + 1
             fn()
             return True
+        return False
 
     def run(self, until: float | None = None) -> None:
         """Run until the queue drains or the clock passes ``until``.
@@ -572,39 +351,8 @@ class Engine:
         push = heapq.heappush
         counts = self.event_counts
         try:
-            while not self._stopped:
-                entry = heap[0] if heap else None
-                if self._cal_len:
-                    # Inline peek of the calendar head; falls back to
-                    # the promoting path only when the current run is
-                    # exhausted.
-                    cur = self._cal_cur
-                    i = self._cal_cur_i
-                    timer = cur[i] if i < len(cur) else self._cal_peek()
-                else:
-                    timer = None
-                if timer is not None and (entry is None or timer < entry):
-                    # Calendar lane holds the globally smallest entry
-                    # (tuple comparison never passes seq — it's unique
-                    # across lanes).
-                    time_ = timer[0]
-                    if until is not None and time_ > until:
-                        break
-                    self._cal_cur_i += 1
-                    self._cal_len -= 1
-                    ev = timer[5]
-                    if ev.cancelled:
-                        self._cal_cancelled -= 1
-                        continue
-                    ev.fired = True
-                    self._now = time_
-                    self.events_processed += 1
-                    category = timer[4]
-                    counts[category] = counts.get(category, 0) + 1
-                    timer[3]()
-                    continue
-                if entry is None:
-                    break
+            while heap and not self._stopped:
+                entry = heap[0]
                 time_ = entry[0]
                 if until is not None and time_ > until:
                     break
@@ -677,16 +425,10 @@ class Engine:
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1)).
 
-        Counts per *record* across every lane: heap entries, calendar
-        timers, and each record a queued batch entry represents.
+        Counts per *record*: each heap entry, plus each record a queued
+        batch entry represents.
         """
-        return (
-            len(self._heap)
-            - self._n_cancelled
-            + self._cal_len
-            - self._cal_cancelled
-            + self._batch_extra
-        )
+        return len(self._heap) - self._n_cancelled + self._batch_extra
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -24,13 +24,6 @@ trailing slots hold the receiver and packet *lists*.  The entry
 reserves one sequence number per record (``seq .. seq + n - 1``), so
 its position in the global order — and the order of anything scheduled
 after it — is exactly what ``n`` individual records would produce.
-
-Scheduling lanes
-----------------
-Cancellable events additionally carry which engine structure holds
-them (:data:`LANE_HEAP` or :data:`LANE_TIMER`) so cancellation
-bookkeeping — live pending counts, heap compaction — can be attributed
-to the right lane.  The lane never affects ordering.
 """
 
 from __future__ import annotations
@@ -44,10 +37,6 @@ OP_DELIVER: int = 0
 #: Opcode of a batched delivery record: ``entry[5]`` / ``entry[6]`` are
 #: equal-length lists of receivers and packets dispatched as one block.
 OP_DELIVER_BATCH: int = 1
-
-#: Lane markers for cancellable events (see ``Event.lane``).
-LANE_HEAP: int = 0
-LANE_TIMER: int = 1
 
 
 @dataclass(order=True, slots=True)
@@ -72,9 +61,6 @@ class Event:
     fn: Callable[[], Any] = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
     fired: bool = field(default=False, compare=False)
-    #: which engine structure holds the entry (``LANE_HEAP`` or
-    #: ``LANE_TIMER``); bookkeeping only, never part of the ordering.
-    lane: int = field(default=LANE_HEAP, compare=False)
 
 
 class EventHandle:
@@ -114,7 +100,7 @@ class EventHandle:
             return
         ev.cancelled = True
         if self._engine is not None:
-            self._engine._note_cancelled(ev)
+            self._engine._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"

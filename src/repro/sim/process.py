@@ -3,7 +3,8 @@
 ``Timer`` is a restartable one-shot; ``PeriodicTask`` repeats a callback
 at a fixed interval (with optional per-tick jitter), which is how hello
 beacons, CBR traffic sources, and ALARM's periodic dissemination are
-driven.
+driven.  Both book their firings as ordinary cancellable heap events
+through :meth:`~repro.sim.engine.Engine.schedule_in`.
 """
 
 from __future__ import annotations
@@ -54,16 +55,6 @@ class Timer:
 class PeriodicTask:
     """Repeat ``fn`` every ``interval`` seconds until stopped.
 
-    Ticks are booked through the engine's calendar-queue timer lane
-    (:meth:`~repro.sim.engine.Engine.schedule_timer_in`): the strictly-
-    periodic schedule — hello rounds, CBR/adaptive traffic, ALARM
-    dissemination — lands in coarse calendar buckets instead of
-    sifting through the binary heap, while firing order stays
-    bit-identical to heap scheduling by construction (shared sequence
-    counter, global min-merge in the pop loop).  One-shot
-    :class:`Timer` arms stay on the heap: they are the irregular,
-    frequently-cancelled residue the heap's compaction already handles.
-
     Parameters
     ----------
     engine:
@@ -109,11 +100,8 @@ class PeriodicTask:
         self._stopped = False
         self.ticks = 0
         first = interval if start_offset is None else start_offset
-        # The period hint lets the calendar lane hash its bucket width
-        # to the dominant tick interval (see ``schedule_timer_in``).
-        self._handle = engine.schedule_timer_in(
-            self._displace(first), self._tick, category=category,
-            period=interval,
+        self._handle = engine.schedule_in(
+            self._displace(first), self._tick, category=category
         )
 
     @property
@@ -148,9 +136,9 @@ class PeriodicTask:
         self.ticks += 1
         self._fn()
         if not self._stopped:
-            self._handle = self._engine.schedule_timer_in(
+            self._handle = self._engine.schedule_in(
                 self._displace(self._interval), self._tick,
-                category=self._category, period=self._interval,
+                category=self._category,
             )
 
     def stop(self) -> None:

@@ -26,6 +26,15 @@ that :func:`repro.crypto.keys.generate_keypair` batches: one scalar
 draw per candidate, a 12-base Miller–Rabin per candidate, and pairs
 of consecutive primes.  It defines the draw-order contract the batched
 path must reproduce key for key and draw for draw.
+
+Hello rounds
+------------
+:func:`scalar_hello_round` is the one-beacon-at-a-time round that
+:meth:`repro.net.network.Network._emit_hello_round` vectorises: live
+nodes beacon in ascending id order, each drawing its pseudonym then its
+position, and each receiver set comes from one
+:meth:`~repro.net.network.Network.neighbors_of` grid query.  Every
+counter and neighbor-table row the batched round produces must match it.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import numpy as np
 
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey
 from repro.geometry.spatial_index import GridIndex
+from repro.net.neighbor_table import NeighborEntry
 
 # Deterministic Miller-Rabin witness sets: these bases are proven
 # sufficient for all n below 3.3e24.
@@ -299,3 +309,26 @@ def run_differential(
             )
             assert_same_answers(trio, "nearest", x, y, None, context=ctx)
     return grid, naive
+
+
+def scalar_hello_round(net) -> None:
+    """One beacon round on ``net``, one scalar beacon per live node."""
+    now = net.engine.now
+    hello_air = net.radio.tx_time(net.hello_size_bytes)
+    for node in net.nodes:
+        if not node.active:
+            continue
+        net.hello_tx += 1
+        node.tx_count += 1
+        net.airtime_tx_s += hello_air
+        entry = NeighborEntry(
+            link_address=node.id,
+            pseudonym=node.pseudonym_at(now),
+            position=node.position(now),
+            public_key=node.keypair.public,
+            last_seen=now,
+        )
+        receivers = net.neighbors_of(node.id)
+        net.airtime_rx_s += hello_air * len(receivers)
+        for rid in receivers:
+            net.nodes[rid].neighbors.update(entry)

@@ -1,36 +1,25 @@
-"""Batch-execution fast lane: ordering, accounting, and lane parity.
+"""Batched delivery records: ordering, accounting, and parity.
 
-The engine's large-field lanes — the calendar-queue timer lane and
-batched ``OP_DELIVER_BATCH`` records — claim *by-construction* identity
-with plain heap scheduling: sequence numbers come from one shared
-counter and the pop loop fires the globally smallest
-``(time, priority, seq)`` across every structure.  This suite pins that
-claim three ways:
+A broadcast fan-out scheduled through ``Engine.schedule_deliver_batch``
+rides one ``OP_DELIVER_BATCH`` heap entry that reserves one sequence
+number per record, and claims *by-construction* identity with the same
+fan-out scheduled as individual delivery records.  This suite pins that
+claim two ways:
 
 * deterministic ordering tests — ``run(until)`` semantics, ``stop()``
   between records of a batch, ``pending()`` accounting mid-batch,
-  cancellation during a batch, ``step()`` granularity, and the
-  calendar demote path (a new timer landing *before* the promoted
-  bucket);
-* a Hypothesis differential property — an ``Engine(timer_lane=True)``
-  and an ``Engine(timer_lane=False)`` driven by one randomly generated
-  schedule of periodic tasks (jittered and not, interval changes
-  mid-run, mid-run stops) must produce identical firing logs, clocks,
-  counters, and pending counts;
+  cancellation during a batch, and ``step()`` granularity;
 * batch-vs-individual differential tests — a broadcast fan-out
   scheduled as one batch record must be indistinguishable from the
   same fan-out scheduled as individual delivery records, including
-  around re-entrant same-time scheduling.
+  alongside other events at the same instant.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.process import PeriodicTask
 
 
 class _Sink:
@@ -196,246 +185,3 @@ class TestBatchRecords:
         # empty batches are a no-op, not an error
         eng.schedule_deliver_batch(2.0, [], [])
         assert eng.pending() == 0
-
-
-class TestCalendarLane:
-    def test_timer_orders_against_heap_events(self):
-        eng = Engine()
-        log: list = []
-        eng.schedule_timer_in(1.0, lambda: log.append(("timer", eng.now)))
-        eng.schedule_in(1.0, lambda: log.append(("heap", eng.now)))
-        eng.schedule_in(0.5, lambda: log.append(("early", eng.now)))
-        eng.run()
-        # same time: the timer was scheduled first, so it fires first
-        assert log == [("early", 0.5), ("timer", 1.0), ("heap", 1.0)]
-
-    def test_demote_path_preserves_order(self):
-        """A timer landing before the promoted bucket still fires in order.
-
-        Promote a far bucket by exhausting everything before it, then —
-        from inside a callback — schedule a timer into an *earlier*
-        bucket.  The promoted run's unfired tail must be demoted and
-        both fire in time order.
-        """
-        eng = Engine()
-        log: list = []
-        # two timers in bucket [5, 6): promoted together
-        eng.schedule_timer_in(5.1, lambda: log.append(("t5.1", eng.now)))
-        eng.schedule_timer_in(5.9, lambda: log.append(("t5.9", eng.now)))
-
-        def plant_earlier():
-            # now == 5.1 < 5.9; bucket key int(5.5) == 5 equals the
-            # promoted key, and key 2 < 5 exercises the demote branch
-            eng.schedule_timer_in(0.0, lambda: log.append(("t5.1b", eng.now)))
-
-        # fires at 5.1 *after* t5.1 (scheduled later at equal time)
-        eng.schedule_timer_in(5.1, plant_earlier)
-        eng.run()
-        assert log == [("t5.1", 5.1), ("t5.1b", 5.1), ("t5.9", 5.9)]
-
-    def test_demote_to_strictly_earlier_bucket(self):
-        eng = Engine()
-        log: list = []
-        eng.schedule_timer_in(5.5, lambda: log.append(("late", eng.now)))
-
-        def plant():
-            eng.schedule_timer_in(2.0, lambda: log.append(("mid", eng.now)))
-
-        eng.schedule_in(0.1, plant)
-        # force promotion of bucket 5 before t=0.1 by peeking: run a
-        # no-op event first so the loop peeks the calendar head
-        eng.schedule_in(0.05, lambda: None)
-        eng.run()
-        assert log == [("mid", 2.1), ("late", 5.5)]
-
-    def test_cancelled_timer_accounting(self):
-        eng = Engine()
-        log: list = []
-        h1 = eng.schedule_timer_in(1.0, lambda: log.append("a"))
-        eng.schedule_timer_in(2.0, lambda: log.append("b"))
-        assert eng.pending() == 2
-        h1.cancel()
-        h1.cancel()  # idempotent
-        assert eng.pending() == 1
-        eng.run()
-        assert log == ["b"]
-        assert eng.pending() == 0
-        assert eng.events_processed == 1
-
-    def test_run_until_leaves_timer_lane_intact(self):
-        eng = Engine()
-        log: list = []
-        PeriodicTask(eng, 1.0, lambda: log.append(eng.now))
-        eng.run(until=3.5)
-        assert log == [1.0, 2.0, 3.0]
-        assert eng.now == 3.5
-        assert eng.pending() == 1  # next tick at 4.0 still queued
-        eng.run(until=4.0)
-        assert log == [1.0, 2.0, 3.0, 4.0]
-
-
-class TestAdaptiveBucketWidth:
-    """The calendar lane re-keys its bucket width to the dominant
-    registered period — only while empty, so no existing key can be
-    invalidated.  Firing order is width-independent by construction
-    (the parity suite below pins it); these tests pin the width
-    mechanics themselves."""
-
-    def test_width_adapts_to_first_registered_period(self):
-        eng = Engine(seed=1, timer_lane=True)
-        assert eng._cal_width == 1.0
-        PeriodicTask(eng, 0.25, lambda: None)
-        assert eng._cal_width == 0.25
-
-    def test_no_rekey_while_lane_occupied(self):
-        eng = Engine(seed=1, timer_lane=True)
-        PeriodicTask(eng, 0.25, lambda: None)
-        # The first task's pending tick occupies the lane: a second
-        # period may vote but must not re-key under live entries.
-        PeriodicTask(eng, 0.5, lambda: None)
-        assert eng._cal_width == 0.25
-        assert eng._cal_period_votes == {0.25: 1, 0.5: 1}
-
-    def test_rekey_to_majority_once_lane_drains(self):
-        eng = Engine(seed=1, timer_lane=True)
-        fast = PeriodicTask(eng, 0.25, lambda: None)
-        slow_a = PeriodicTask(eng, 0.5, lambda: None)
-        slow_b = PeriodicTask(eng, 0.5, lambda: None, start_offset=0.3)
-        eng.run(until=2.0)
-        for task in (fast, slow_a, slow_b):
-            task.stop()
-        # Reschedules during the run voted 0.5 into the majority; the
-        # next registration on the drained lane re-keys to it.
-        eng.run(until=5.0)
-        PeriodicTask(eng, 0.5, lambda: None)
-        assert eng._cal_width == 0.5
-
-    def test_width_floor_defangs_degenerate_periods(self):
-        eng = Engine(seed=1, timer_lane=True)
-        PeriodicTask(eng, 1e-9, lambda: None)
-        assert eng._cal_width == 1e-6
-
-    def test_heap_engine_collects_no_votes(self):
-        eng = Engine(seed=1, timer_lane=False)
-        PeriodicTask(eng, 0.25, lambda: None)
-        assert eng._cal_period_votes == {}
-        assert eng._cal_width == 1.0
-
-
-# --------------------------------------------------------------------------
-# Hypothesis: lane parity under arbitrary periodic schedules
-# --------------------------------------------------------------------------
-
-TASK = st.tuples(
-    st.floats(min_value=0.05, max_value=3.0),   # interval
-    st.floats(min_value=0.0, max_value=2.0),    # start offset
-    st.booleans(),                              # jittered?
-    st.integers(min_value=-1, max_value=20),    # stop after k ticks (-1: never)
-    st.one_of(                                  # set_interval at tick 2
-        st.none(), st.floats(min_value=0.05, max_value=3.0)
-    ),
-)
-
-
-def _drive(timer_lane: bool, specs, until: float):
-    eng = Engine(seed=42, timer_lane=timer_lane)
-    log: list = []
-    tasks: list[PeriodicTask] = []
-
-    def make_cb(k: int, stop_after: int, new_interval):
-        def cb() -> None:
-            task = tasks[k]
-            log.append((k, eng.now, eng.events_processed))
-            if new_interval is not None and task.ticks == 2:
-                task.set_interval(new_interval)
-            if task.ticks == stop_after:
-                task.stop()
-
-        return cb
-
-    for k, (interval, offset, jittered, stop_after, new_interval) in enumerate(
-        specs
-    ):
-        tasks.append(
-            PeriodicTask(
-                eng,
-                interval,
-                make_cb(k, stop_after, new_interval),
-                jitter=0.2 * interval if jittered else 0.0,
-                rng=eng.rng.stream(f"jit{k}") if jittered else None,
-                start_offset=offset,
-            )
-        )
-    eng.run(until=until)
-    return log, eng.now, eng.events_processed, eng.pending()
-
-
-class TestLaneParity:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        specs=st.lists(TASK, min_size=1, max_size=5),
-        until=st.floats(min_value=0.5, max_value=12.0),
-    )
-    def test_calendar_and_heap_fire_identically(self, specs, until):
-        assert _drive(True, specs, until) == _drive(False, specs, until)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        period=st.floats(min_value=0.01, max_value=2.5),
-        n_tasks=st.integers(min_value=1, max_value=5),
-        offsets=st.lists(
-            st.floats(min_value=0.0, max_value=1.5), min_size=5, max_size=5
-        ),
-        until=st.floats(min_value=0.5, max_value=10.0),
-    )
-    def test_non_unit_dominant_period_parity(
-        self, period, n_tasks, offsets, until
-    ):
-        """A non-1 s dominant period re-keys the bucket width (every
-        vote agrees, and the lane starts empty), and firing stays
-        identical to the heap — width only ever changes occupancy."""
-        specs = [
-            (period, offsets[k], False, -1, None) for k in range(n_tasks)
-        ]
-        assert _drive(True, specs, until) == _drive(False, specs, until)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        specs=st.lists(TASK, min_size=1, max_size=4),
-        split=st.floats(min_value=0.3, max_value=5.0),
-        tail=st.floats(min_value=0.1, max_value=6.0),
-    )
-    def test_parity_survives_run_resume(self, specs, split, tail):
-        """Two runs with an intermediate horizon match one long run."""
-
-        def drive_split(timer_lane: bool):
-            eng = Engine(seed=42, timer_lane=timer_lane)
-            log: list = []
-            tasks: list[PeriodicTask] = []
-            for k, (interval, offset, jittered, stop_after, _) in enumerate(
-                specs
-            ):
-                def make_cb(k=k, stop_after=stop_after):
-                    def cb() -> None:
-                        log.append((k, eng.now))
-                        if tasks[k].ticks == stop_after:
-                            tasks[k].stop()
-
-                    return cb
-
-                tasks.append(
-                    PeriodicTask(
-                        eng,
-                        interval,
-                        make_cb(),
-                        jitter=0.2 * interval if jittered else 0.0,
-                        rng=eng.rng.stream(f"jit{k}") if jittered else None,
-                        start_offset=offset,
-                    )
-                )
-            eng.run(until=split)
-            mid = (eng.now, eng.pending(), list(log))
-            eng.run(until=split + tail)
-            return mid, log, eng.now, eng.events_processed, eng.pending()
-
-        assert drive_split(True) == drive_split(False)

@@ -60,11 +60,10 @@ GOLDEN_CONFIGS = {
         n_pairs=20,
         seed=11,
     ),
-    # Batch-lane guard: big enough (≥2000 nodes) that hello rounds and
-    # broadcast fan-outs exercise the calendar timer lane, batched
-    # OP_DELIVER_BATCH records, and lazy neighbor-table ingest at
-    # scale; the trace pins their by-construction ordering equivalence
-    # against the plain heap path.
+    # Batch-record guard: big enough (≥2000 nodes) that hello rounds and
+    # broadcast fan-outs exercise batched OP_DELIVER_BATCH records and
+    # lazy neighbor-table ingest at scale; the trace pins their
+    # by-construction ordering equivalence with individual records.
     "alert_rwp_2k": ExperimentConfig(
         protocol="ALERT",
         n_nodes=2000,

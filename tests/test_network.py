@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.mobility.base import positions_at
 from repro.net.packet import Packet, PacketKind
 from tests.conftest import build_network
+from tests.oracles import scalar_hello_round
 
 
 def data_packet(src=0, dst=1, size=512, flow=None):
@@ -271,19 +274,39 @@ class TestHelloRoundParity:
     """The vectorized round must match the scalar reference exactly."""
 
     @pytest.mark.parametrize("static", [True, False])
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_vectorized_matches_scalar(self, static, seed):
-        vec = build_network(seed=seed, static=static)
-        ref = build_network(seed=seed, static=static)
+    @pytest.mark.parametrize(
+        ("seed", "n_nodes", "snapshot_at"),
+        [
+            pytest.param(3, 40, None, id="3"),
+            pytest.param(11, 40, None, id="11"),
+            # Paper density (200 nodes/km²) with enough transmitters for
+            # the cell-grouped pass (>= _GROUPED_HELLO_MIN).
+            pytest.param(5, 600, None, id="5-n600"),
+            # Snapshot refreshed earlier but still within
+            # snapshot_resolution: the round interpolates positions.
+            pytest.param(3, 40, 0.6, id="3-stale-snapshot"),
+        ],
+    )
+    def test_vectorized_matches_scalar(self, static, seed, n_nodes, snapshot_at):
+        side = 600.0 if n_nodes == 40 else 1000.0 * math.sqrt(n_nodes / 200)
+        vec, ref = (
+            build_network(
+                n_nodes=n_nodes, seed=seed, field_size=side, static=static
+            )
+            for _ in range(2)
+        )
         for net in (vec, ref):
+            if snapshot_at is not None:
+                net.engine.schedule_in(snapshot_at, net.snapshot)
             net.engine.schedule_in(0.7, lambda: None)
             net.engine.run()
         vec._emit_hello_round()
-        ref._emit_hello_round_scalar()
+        scalar_hello_round(ref)
+        now = vec.engine.now
+        assert (vec._snapshot_time < now) == (snapshot_at is not None)
         assert vec.hello_tx == ref.hello_tx
         assert vec.airtime_tx_s == ref.airtime_tx_s
         assert vec.airtime_rx_s == ref.airtime_rx_s
-        now = vec.engine.now
         for a, b in zip(vec.nodes, ref.nodes):
             assert a.tx_count == b.tx_count
             assert a.neighbors.live_entries(now) == b.neighbors.live_entries(now)
@@ -295,7 +318,7 @@ class TestHelloRoundParity:
             for nid in (0, 7, 13):
                 net.nodes[nid].fail()
         vec._emit_hello_round()
-        ref._emit_hello_round_scalar()
+        scalar_hello_round(ref)
         assert vec.hello_tx == ref.hello_tx
         now = vec.engine.now
         for a, b in zip(vec.nodes, ref.nodes):

@@ -127,3 +127,39 @@ class TestPeriodicTask:
         for i, t in enumerate(hits):
             assert abs(t - (i + 1)) < 0.2 * (i + 2)
         assert any(abs(t - round(t)) > 1e-6 for t in hits)
+
+    def test_tick_and_heap_event_at_same_instant_fire_in_insertion_order(self):
+        eng = Engine()
+        log = []
+        task = PeriodicTask(eng, 1.0, lambda: log.append(("tick", eng.now)))
+        eng.schedule_in(1.0, lambda: log.append(("heap", eng.now)))
+        eng.schedule_in(0.5, lambda: log.append(("early", eng.now)))
+        eng.run(until=1.0)
+        task.stop()
+        # same time: the tick was booked first, so it fires first
+        assert log == [("early", 0.5), ("tick", 1.0), ("heap", 1.0)]
+
+    def test_stop_drops_queued_tick_from_pending(self):
+        eng = Engine()
+        hits = []
+        task = PeriodicTask(eng, 1.0, lambda: hits.append("tick"))
+        eng.schedule_in(2.0, lambda: hits.append("other"))
+        assert eng.pending() == 2
+        task.stop()
+        task.stop()  # idempotent
+        assert eng.pending() == 1
+        eng.run()
+        assert hits == ["other"]
+        assert eng.pending() == 0
+        assert eng.events_processed == 1
+
+    def test_run_until_leaves_next_tick_queued(self):
+        eng = Engine()
+        hits = []
+        PeriodicTask(eng, 1.0, lambda: hits.append(eng.now))
+        eng.run(until=3.5)
+        assert hits == [1.0, 2.0, 3.0]
+        assert eng.now == 3.5
+        assert eng.pending() == 1  # next tick at 4.0 still queued
+        eng.run(until=4.0)
+        assert hits == [1.0, 2.0, 3.0, 4.0]
