@@ -7,7 +7,8 @@ layers every figure regeneration bottlenecks on:
 1. position snapshot build (vectorised mobility interpolation),
 2. incremental snapshot refresh vs from-scratch index rebuild,
 3. spatial-index radius queries (neighbor discovery),
-4. a full hello round (snapshot + N queries + table updates),
+4. a full hello round (snapshot, cell-grouped in-range pass, table
+   ingest),
 5. one end-to-end ALERT simulation (real crypto and cost-only mode,
    with per-category engine event counters),
 6. sweep result-transport IPC: the legacy pickle-everything path vs
@@ -201,7 +202,7 @@ def bench_radius_query(n_nodes: int, reps: int) -> dict[str, float]:
 
 
 def bench_hello_round(n_nodes: int, reps: int) -> dict[str, float]:
-    """One full beacon round: snapshot + N neighbor queries + updates."""
+    """One full beacon round: snapshot, in-range pass, table ingest."""
     net = _make_network(n_nodes)
     net.engine._now = 10.0
     net.snapshot()

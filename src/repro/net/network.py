@@ -36,18 +36,6 @@ from repro.sim.process import PeriodicTask
 #: Called after every link-layer exchange: (flow_id, attempts, success).
 TxListener = Callable[[int | None, int, bool], None]
 
-#: Peak element budget for one chunk of the batched hello-round
-#: pairwise in-range matrix (chunk_rows × n_nodes); 256k float64
-#: pairs keeps the per-chunk scratch around 4 MB.
-_PAIR_CHUNK_ELEMS = 262_144
-
-#: Node count at which the hello round switches from the all-pairs
-#: chunked in-range pass (O(N²) arithmetic, but one tight vector op at
-#: paper scale) to the cell-grouped pass over the spatial index's
-#: buckets (O(N × local density) arithmetic plus per-cell dispatch).
-#: Measured crossover on this kernel sits near 500 nodes.
-_GROUPED_HELLO_MIN = 512
-
 
 def _event_category(packet: Packet) -> str:
     """Engine event-counter category for a frame delivery."""
@@ -575,20 +563,17 @@ class Network:
         pseudonym-then-position, as in the scalar loop; streams are
         per-node (per-group for RPGM, which both passes visit in
         ascending order), so cross-node interleaving is draw-order
-        neutral.  The in-range test runs as a pairwise array pass
-        instead of one grid query per transmitter, and receiver tables
-        ingest each round's rows through
-        :meth:`NeighborTable.ingest_shared`.  Below
-        ``_GROUPED_HELLO_MIN`` transmitters the pass is all-pairs
-        (chunked); above it, transmitters are grouped by grid cell via
-        :meth:`GridIndex.grouped_candidates` so the arithmetic scales
-        with local density instead of N².  Either pass repeats
-        ``GridIndex.query_radius``'s arithmetic (the candidate set is a
-        superset filtered by this exact predicate), so the accepted
-        pairs — and therefore every metric — are bit-identical to the
-        scalar round (one beacon per live node in ascending order,
-        receivers from :meth:`neighbors_of`) that the test suite keeps
-        as its reference oracle.
+        neutral.  The in-range test groups transmitters by grid cell via
+        :meth:`GridIndex.grouped_candidates` instead of running one grid
+        query per transmitter, so the pairwise arithmetic scales with
+        local density instead of N², and receiver tables ingest each
+        round's rows through :meth:`NeighborTable.ingest_shared`.  The
+        pass repeats ``GridIndex.query_radius``'s arithmetic (the
+        candidate set is a superset filtered by this exact predicate),
+        so the accepted pairs — and therefore every metric — are
+        bit-identical to the scalar round (one beacon per live node in
+        ascending order, receivers from :meth:`neighbors_of`) that the
+        test suite keeps as its reference oracle.
         """
         now = self.engine.now
         nodes = self.nodes
@@ -691,130 +676,67 @@ class Network:
         r2 = r * r
         round_rxs: list[np.ndarray] = []
         round_txs: list[np.ndarray] = []
-        if n_tx >= _GROUPED_HELLO_MIN:
-            # Cell-grouped pass: transmitters sharing a grid cell share
-            # one candidate gather (their 3×3-cell neighborhood), so the
-            # pairwise test touches ~local-density rows per transmitter
-            # instead of all N.  The candidate set is a superset of
-            # every true receiver (cell size ≥ radius), filtered by the
-            # exact predicate below — accepted pairs are identical to
-            # the all-pairs branch, and the airtime accumulation loop
-            # afterwards adds per-transmitter terms in the same
-            # ascending order the chunked branch uses.
-            # With no failed nodes (the common case) the per-group
-            # active filter is an identity copy — skip it wholesale.
-            all_active = bool(active.all())
-            for q, cand in snap_index.grouped_candidates(centers, r):
-                if not all_active:
-                    cand = cand[active[cand]]
-                    if cand.size == 0:
-                        continue
-                # one fancy-index gather per group; the column views
-                # reproduce the reference dx*dx + dy*dy term order
-                sp = snap_pos[cand]
-                cq = centers[q]
-                dx = sp[:, :1] - cq[:, 0]
-                dy = sp[:, 1:] - cq[:, 1]
-                dx *= dx
-                dy *= dy
-                dx += dy
-                rl, tl = np.nonzero(dx <= r2)
-                if rl.size:
-                    round_rxs.append(cand[rl])
-                    round_txs.append(q[tl])
-            # Self-pairs are excluded in ONE global compare over the
-            # round's accepted pairs (each transmitter is its own
-            # candidate exactly once), and the per-transmitter receiver
-            # counts come from ONE bincount over the surviving pair
-            # list — identical counts to per-group exclusion matrices
-            # and scatters, without ~2 small-array passes per grid
-            # cell.  Pair order within a receiver differs from the
-            # ascending-transmitter order only across groups, which is
-            # unobservable: each (rx, tx) pair appears once per round
-            # and every table read sorts by address.
-            if round_rxs:
-                if len(round_rxs) == 1:
-                    rxs, txs = round_rxs[0], round_txs[0]
-                else:
-                    rxs = np.concatenate(round_rxs)
-                    txs = np.concatenate(round_txs)
-                keep = rxs != tx_ids[txs]
-                rxs = rxs[keep]
-                txs = txs[keep]
-                counts = np.bincount(txs, minlength=n_tx)
-            else:
-                rxs = txs = None
-                counts = np.zeros(n_tx, dtype=np.int64)
-            air_rx = self.airtime_rx_s
-            for c in counts.tolist():
-                air_rx += hello_air * c
-            self.airtime_rx_s = air_rx
-            if rxs is None or rxs.size == 0:
-                return
-            if len(round_rxs) > 1:
-                # Narrow pair arrays: stable-sorting uint16 keys is ~4×
-                # faster than int64 at these sizes (and the sort-order
-                # gathers shrink with them); node ids below 65536 cast
-                # losslessly, so the permutation is identical.
-                if len(nodes) <= 0xFFFF:
-                    rxs = rxs.astype(np.uint16)
-                    txs = txs.astype(np.uint16)
-                order = np.argsort(rxs, kind="stable")
-                rxs = rxs[order]
-                txs = txs[order]
-        else:
-            chunk = max(1, _PAIR_CHUNK_ELEMS // max(len(nodes), 1))
-            sx = snap_pos[:, 0][:, None]
-            sy = snap_pos[:, 1][:, None]
-            for s in range(0, n_tx, chunk):
-                e = min(s + chunk, n_tx)
-                # Receiver-major (n_nodes, chunk) masks from 2D
-                # temporaries: dx*dx + dy*dy is the same two-term sum
-                # as the reference (d * d).sum(axis=-1) — identical
-                # accepted pairs — without materialising a 3D
-                # difference array.
-                dx = sx - centers[s:e, 0]
-                dy = sy - centers[s:e, 1]
-                dx *= dx
-                dy *= dy
-                dx += dy
-                in_range = dx <= r2
-                in_range &= active[:, None]
-                in_range[tx_ids[s:e], np.arange(e - s)] = False
-                counts = in_range.sum(axis=0)
-                air_rx = self.airtime_rx_s
-                for c in counts.tolist():
-                    air_rx += hello_air * c
-                self.airtime_rx_s = air_rx
-                rxs, txs = np.nonzero(in_range)
-                if rxs.size == 0:
+        # Transmitters sharing a grid cell share one candidate gather
+        # (their 3×3-cell neighborhood), so the pairwise test touches
+        # ~local-density rows per transmitter instead of all N.  The
+        # candidate set is a superset of every true receiver (cell size
+        # ≥ radius), filtered by the exact predicate below.  With no
+        # failed nodes (the common case) the per-group active filter is
+        # an identity copy — skip it wholesale.
+        all_active = bool(active.all())
+        for q, cand in snap_index.grouped_candidates(centers, r):
+            if not all_active:
+                cand = cand[active[cand]]
+                if cand.size == 0:
                     continue
-                round_rxs.append(rxs)
-                # Shift chunk-local column indices to round-global
-                # entry indices so the whole round shares one index
-                # space.
-                round_txs.append(txs + s if s else txs)
-            if not round_rxs:
-                return
-            # One ingest per receiver per *round*, not per chunk: large
-            # fields split a round into many chunks, and each
-            # receiver's per-chunk slice averages only a few rows — the
-            # per-call dispatch dominates.  The stable receiver sort
-            # preserves each receiver's ascending-transmitter row order
-            # across chunks, and table content is order-independent
-            # anyway (each (rx, tx) pair appears once per round; reads
-            # sort by address).
-            if len(round_rxs) == 1:
-                rxs, txs = round_rxs[0], round_txs[0]
-            else:
-                rxs = np.concatenate(round_rxs)
-                txs = np.concatenate(round_txs)
-                keys = (
-                    rxs.astype(np.uint16) if len(nodes) <= 0xFFFF else rxs
-                )
-                order = np.argsort(keys, kind="stable")
-                rxs = rxs[order]
-                txs = txs[order]
+            # one fancy-index gather per group; the column views
+            # reproduce the reference dx*dx + dy*dy term order
+            sp = snap_pos[cand]
+            cq = centers[q]
+            dx = sp[:, :1] - cq[:, 0]
+            dy = sp[:, 1:] - cq[:, 1]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            rl, tl = np.nonzero(dx <= r2)
+            if rl.size:
+                round_rxs.append(cand[rl])
+                round_txs.append(q[tl])
+        if not round_rxs:
+            return
+        # Self-pairs are excluded in ONE global compare over the round's
+        # accepted pairs (each transmitter is its own candidate exactly
+        # once), and the per-transmitter receiver counts come from ONE
+        # bincount over the surviving pair list, without ~2 small-array
+        # passes per grid cell.  Pair order within a receiver differs
+        # from the ascending-transmitter order only across groups, which
+        # is unobservable: each (rx, tx) pair appears once per round and
+        # every table read sorts by address.
+        rxs = np.concatenate(round_rxs)
+        txs = np.concatenate(round_txs)
+        keep = rxs != tx_ids[txs]
+        rxs = rxs[keep]
+        txs = txs[keep]
+        # Receiver airtime in ascending transmitter order — the same
+        # sequence of float adds as the per-transmitter loop.
+        air_rx = self.airtime_rx_s
+        for c in np.bincount(txs, minlength=n_tx).tolist():
+            air_rx += hello_air * c
+        self.airtime_rx_s = air_rx
+        if rxs.size == 0:
+            return
+        if len(round_rxs) > 1:
+            # One ingest per receiver per round: sort the pairs by
+            # receiver.  Stable-sorting uint16 keys is ~4× faster than
+            # int64 at these sizes (and the sort-order gathers shrink
+            # with them); node ids below 65536 cast losslessly, so the
+            # permutation is identical.
+            if len(nodes) <= 0xFFFF:
+                rxs = rxs.astype(np.uint16)
+                txs = txs.astype(np.uint16)
+            order = np.argsort(rxs, kind="stable")
+            rxs = rxs[order]
+            txs = txs[order]
         # ``txs`` stays a numpy array: receivers that never read their
         # table before the slice is superseded never pay to materialise
         # their rows, so converting the whole round's pair list to

@@ -6,9 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.geometry.field import Field
+from repro.geometry.primitives import Point
 from repro.mobility.base import positions_at
+from repro.mobility.static import StaticPosition
+from repro.net.network import Network
 from repro.net.packet import Packet, PacketKind
+from repro.sim.engine import Engine
 from tests.conftest import build_network
 from tests.oracles import scalar_hello_round
 
@@ -270,25 +277,46 @@ class TestHello:
         assert net.hello_tx == count
 
 
+def assert_rounds_match(vec, ref):
+    """Run one vectorised round on ``vec`` and one scalar round on
+    ``ref``; every counter and neighbor-table row must agree."""
+    vec._emit_hello_round()
+    scalar_hello_round(ref)
+    now = vec.engine.now
+    assert vec.hello_tx == ref.hello_tx
+    assert vec.airtime_tx_s == ref.airtime_tx_s
+    assert vec.airtime_rx_s == ref.airtime_rx_s
+    for a, b in zip(vec.nodes, ref.nodes):
+        assert a.tx_count == b.tx_count
+        assert a.neighbors.live_entries(now) == b.neighbors.live_entries(now)
+
+
 class TestHelloRoundParity:
     """The vectorized round must match the scalar reference exactly."""
 
     @pytest.mark.parametrize("static", [True, False])
     @pytest.mark.parametrize(
-        ("seed", "n_nodes", "snapshot_at"),
+        ("seed", "n_nodes", "snapshot_at", "side"),
         [
-            pytest.param(3, 40, None, id="3"),
-            pytest.param(11, 40, None, id="11"),
-            # Paper density (200 nodes/km²) with enough transmitters for
-            # the cell-grouped pass (>= _GROUPED_HELLO_MIN).
-            pytest.param(5, 600, None, id="5-n600"),
+            pytest.param(3, 40, None, 600.0, id="3"),
+            pytest.param(11, 40, None, 600.0, id="11"),
+            # Paper density (200 nodes/km², side 1000·sqrt(N/200)): many
+            # occupied grid cells, so the round merges pairs across
+            # cell groups and sorts them by receiver.
+            pytest.param(5, 600, None, 1000.0 * math.sqrt(3), id="5-n600"),
             # Snapshot refreshed earlier but still within
             # snapshot_resolution: the round interpolates positions.
-            pytest.param(3, 40, 0.6, id="3-stale-snapshot"),
+            pytest.param(3, 40, 0.6, 600.0, id="3-stale-snapshot"),
+            # Every node inside one grid cell: a single candidate group,
+            # whose pairs need no receiver sort.
+            pytest.param(7, 30, None, 200.0, id="7-one-cell"),
+            # A field so sparse that no beacon reaches anyone.
+            pytest.param(9, 5, None, 50_000.0, id="9-isolated"),
         ],
     )
-    def test_vectorized_matches_scalar(self, static, seed, n_nodes, snapshot_at):
-        side = 600.0 if n_nodes == 40 else 1000.0 * math.sqrt(n_nodes / 200)
+    def test_vectorized_matches_scalar(
+        self, static, seed, n_nodes, snapshot_at, side
+    ):
         vec, ref = (
             build_network(
                 n_nodes=n_nodes, seed=seed, field_size=side, static=static
@@ -300,16 +328,60 @@ class TestHelloRoundParity:
                 net.engine.schedule_in(snapshot_at, net.snapshot)
             net.engine.schedule_in(0.7, lambda: None)
             net.engine.run()
-        vec._emit_hello_round()
-        scalar_hello_round(ref)
-        now = vec.engine.now
-        assert (vec._snapshot_time < now) == (snapshot_at is not None)
-        assert vec.hello_tx == ref.hello_tx
-        assert vec.airtime_tx_s == ref.airtime_tx_s
-        assert vec.airtime_rx_s == ref.airtime_rx_s
-        for a, b in zip(vec.nodes, ref.nodes):
-            assert a.tx_count == b.tx_count
-            assert a.neighbors.live_entries(now) == b.neighbors.live_entries(now)
+        assert_rounds_match(vec, ref)
+        assert (vec._snapshot_time < vec.engine.now) == (
+            snapshot_at is not None
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_nodes=st.integers(min_value=1, max_value=120),
+        side=st.sampled_from([120.0, 400.0, 600.0, 1000.0, 2500.0]),
+        static=st.booleans(),
+        dead=st.sets(st.integers(min_value=0, max_value=119), max_size=20),
+        rounds=st.integers(min_value=1, max_value=3),
+    )
+    def test_parity_property(self, seed, n_nodes, side, static, dead, rounds):
+        """Random populations, densities and failures, over several
+        rounds: every counter and table row matches the scalar round."""
+        vec, ref = (
+            build_network(
+                n_nodes=n_nodes, seed=seed, field_size=side, static=static
+            )
+            for _ in range(2)
+        )
+        for net in (vec, ref):
+            for nid in dead:
+                if nid < n_nodes:
+                    net.nodes[nid].fail()
+        for _ in range(rounds):
+            for net in (vec, ref):
+                net.engine.schedule_in(0.9, lambda: None)
+                net.engine.run()
+            assert_rounds_match(vec, ref)
+
+    def test_parity_at_exact_range(self):
+        """Pairs exactly one radio range apart, and nodes sitting on grid
+        cell boundaries, are in range for both rounds."""
+        points = [
+            (0.0, 0.0), (250.0, 0.0), (250.0, 250.0), (500.0, 0.0),
+            (150.0, 200.0), (400.0, 450.0), (750.0, 500.0), (999.0, 999.0),
+        ]
+
+        def static_net():
+            fld = Field(1000.0, 1000.0)
+            return Network(
+                Engine(seed=1), fld,
+                lambda i, rng: StaticPosition(Point(*points[i])),
+                len(points),
+            )
+
+        vec, ref = static_net(), static_net()
+        assert_rounds_match(vec, ref)
+        # (0, 0) hears (250, 0) and (150, 200), both exactly 250 m away.
+        heard = {e.link_address for e in vec.nodes[0].neighbors.live_entries(0.0)}
+        assert heard == {1, 4}
 
     def test_parity_with_dead_nodes(self):
         vec = build_network(seed=4, static=True)
@@ -317,11 +389,6 @@ class TestHelloRoundParity:
         for net in (vec, ref):
             for nid in (0, 7, 13):
                 net.nodes[nid].fail()
-        vec._emit_hello_round()
-        scalar_hello_round(ref)
-        assert vec.hello_tx == ref.hello_tx
-        now = vec.engine.now
-        for a, b in zip(vec.nodes, ref.nodes):
-            assert a.neighbors.live_entries(now) == b.neighbors.live_entries(now)
+        assert_rounds_match(vec, ref)
         # dead nodes never transmit
         assert vec.nodes[0].tx_count == 0
