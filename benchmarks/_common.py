@@ -63,8 +63,7 @@ def sweep_progress(label: str, total: int):
     """Streaming ``on_result`` callback for a sweep of ``total`` seeds.
 
     The executor streams each completed ``(cell, seed)`` result as it
-    arrives (shared-memory transport, see
-    :mod:`repro.experiments.parallel`); this prints a coarse progress
+    arrives (see :mod:`repro.experiments.parallel`); this prints a coarse progress
     line at every ~10 % milestone so long figure regenerations are
     visibly alive instead of silent for minutes.
     """

@@ -1,7 +1,7 @@
 """Core performance harness: times the simulator's hot paths.
 
 Unlike the ``bench_fig*`` drivers (which regenerate the paper's
-figures), this harness measures *wall-clock* performance of the four
+figures), this harness measures *wall-clock* performance of the
 layers every figure regeneration bottlenecks on:
 
 1. position snapshot build (vectorised mobility interpolation),
@@ -11,9 +11,7 @@ layers every figure regeneration bottlenecks on:
    ingest),
 5. one end-to-end ALERT simulation (real crypto and cost-only mode,
    with per-category engine event counters),
-6. sweep result-transport IPC: the legacy pickle-everything path vs
-   the executor's shared-memory float64 result buffer,
-7. the neighbor table's sorted-row cache at a dense topology,
+6. the neighbor table's sorted-row cache at a dense topology,
 
 plus, optionally, a serial-vs-parallel sweep of one small figure.
 Set ``REPRO_PROFILE=1`` to additionally profile one ALERT run under
@@ -35,10 +33,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import platform
 import time
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +43,6 @@ from _common import event_rate, us_per_event
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
     Cell,
-    SweepExecutor,
-    _picklable,
-    _representative_payloads,
     parallel_map_cells,
     worker_count,
 )
@@ -349,105 +342,6 @@ def bench_sweep(workers: int, duration: float, runs: int) -> dict[str, float]:
     }
 
 
-def bench_sweep_ipc(
-    n_cells: int, runs_per_cell: int, reps: int
-) -> dict[str, float]:
-    """Sweep result-transport (IPC) cost: pickle path vs shared memory.
-
-    A sweep's IPC has two parts the executor controls: the pre-flight
-    picklability probe and returning each ``(cell, seed)`` metric value
-    to the parent.  The legacy path pickled the *entire* payload list
-    just to probe it and pickled every result back across the process
-    boundary; the shared-memory path probes one representative payload
-    per metric and has workers write each scalar into a float64 slot
-    the parent reads directly.  End-to-end sweep wall-clock is
-    dominated by the simulations themselves, so this times the two
-    transports in isolation over the value matrix of an ``n_cells``-cell
-    sweep.  A small *real* sweep additionally checks that the serial,
-    pickle-return, and shared-memory paths produce bit-identical
-    results.
-
-    The shared-memory path pays a fixed segment create/unlink cost per
-    sweep, so it wins once the sweep has a realistic number of seeds
-    (the paper averages 30 per cell; break-even is a few hundred total)
-    — keep ``n_cells × runs_per_cell`` ≥ ~500.
-    """
-    base = ExperimentConfig(
-        n_nodes=30, duration=5.0, n_pairs=2, field_size=600.0
-    )
-    cells = [
-        Cell(base.with_(seed=s), metric_delivery_rate, runs_per_cell)
-        for s in range(n_cells)
-    ]
-    payloads: list[tuple] = []
-    for cell in cells:
-        for cfg in cell.seed_configs():
-            payloads.append(
-                (len(payloads), None, cfg, cell.metric,
-                 cell.max_packets_per_pair)
-            )
-    rng = np.random.default_rng(5)
-    values = rng.uniform(size=len(payloads)).tolist()
-
-    def pickle_transport() -> None:
-        # Legacy probe: serialize every payload a second time …
-        assert _picklable(payloads)
-        # … and pickle every result value back to the parent.
-        for v in values:
-            tag, out = pickle.loads(pickle.dumps(("value", v)))
-            assert out == v
-
-    def shm_transport() -> None:
-        # New probe: one representative payload per distinct metric.
-        assert all(
-            _picklable(p) for p in _representative_payloads(payloads)
-        )
-        shm = shared_memory.SharedMemory(create=True, size=8 * len(values))
-        try:
-            buf = np.ndarray(
-                (len(values),), dtype=np.float64, buffer=shm.buf
-            )
-            for slot, v in enumerate(values):  # worker-side slot writes
-                buf[slot] = v
-            for slot, v in enumerate(values):  # parent-side slot reads
-                assert float(buf[slot]) == v
-        finally:
-            buf = None
-            shm.close()
-            shm.unlink()
-
-    pickle_t = _timeit(pickle_transport, reps)
-    shm_t = _timeit(shm_transport, reps)
-    out: dict[str, float] = {
-        "cells": n_cells,
-        "seeds": len(payloads),
-        "pickle_ipc_mean_s": pickle_t["mean_s"],
-        "shm_ipc_mean_s": shm_t["mean_s"],
-        "pickle_ipc_min_s": pickle_t["min_s"],
-        "shm_ipc_min_s": shm_t["min_s"],
-    }
-    # Best-of-reps: the shm path's segment create/unlink syscalls jitter
-    # wildly on loaded hosts (noise is strictly additive), so the mean
-    # ratio swings 1–9x rep to rep while the min ratio is stable.
-    out["speedup"] = (
-        out["pickle_ipc_min_s"] / out["shm_ipc_min_s"]
-        if out["shm_ipc_min_s"] > 0
-        else float("nan")
-    )
-
-    parity_cells = [
-        Cell(base.with_(seed=s), metric_delivery_rate, 1) for s in range(4)
-    ]
-    with SweepExecutor(workers=1) as ex:
-        serial = ex.map_cells(parity_cells)
-    with SweepExecutor(workers=2, use_shared_memory=False) as ex:
-        pickled = ex.map_cells(parity_cells)
-    with SweepExecutor(workers=2, use_shared_memory=True) as ex:
-        shared = ex.map_cells(parity_cells)
-    out["identical_results"] = serial == pickled == shared
-    return out
-
-
 def run_harness(quick: bool = False, sweep: bool = True) -> dict:
     """Execute every benchmark and assemble the report dict."""
     reps = 3 if quick else 10
@@ -481,13 +375,6 @@ def run_harness(quick: bool = False, sweep: bool = True) -> dict:
             "hello_round": bench_hello_round(n_nodes, reps),
             "neighbor_live_entries": bench_neighbor_live_entries(
                 n_nodes, max(reps, 5)
-            ),
-            # Acceptance target: shared-memory sweep IPC >= 1.5x the
-            # pickle path at a 100+-cell sweep, bit-identical results.
-            "sweep_ipc": bench_sweep_ipc(
-                n_cells=120,
-                runs_per_cell=5 if quick else 30,
-                reps=max(reps, 5),
             ),
         },
     }
@@ -553,10 +440,6 @@ def test_perf_harness_smoke(tmp_path):
     assert run["cost_only_mean_s"] > 0.0
     assert report["timings"]["neighbor_live_entries"]["speedup"] >= 1.5
     assert report["timings"]["sweep"]["identical_results"]
-    ipc = report["timings"]["sweep_ipc"]
-    assert ipc["cells"] >= 100
-    assert ipc["identical_results"]  # serial == pickle == shared memory
-    assert ipc["speedup"] >= 1.5
     out = tmp_path / "BENCH_perf.json"
     out.write_text(json.dumps(report))
     assert json.loads(out.read_text())["schema"] == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -138,7 +139,7 @@ class ExperimentConfig:
             raise ValueError("need at least two nodes")
         if self.n_pairs < 1 or 2 * self.n_pairs > self.n_nodes:
             raise ValueError("n_pairs must fit disjointly into the population")
-        if self.speed < 0:
+        if not self.speed >= 0:
             raise ValueError("speed must be >= 0")
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
@@ -146,6 +147,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {value!r}")
         if not self.drain_time >= 0:
             raise ValueError(f"drain_time must be >= 0, got {self.drain_time!r}")
+        for name in (*_POSITIVE_FIELDS, "speed", "drain_time"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if isinstance(self.traffic, dict):
             object.__setattr__(self, "traffic", TrafficConfig(**self.traffic))
         if self.traffic.model == "adaptive" and not (

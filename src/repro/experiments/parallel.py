@@ -9,11 +9,9 @@ parallel path bit-identical to the serial one.
 
 The executor is persistent: its :class:`~concurrent.futures.\
 ProcessPoolExecutor` stays warm across ``map_cells`` calls, so a figure
-driver running several sweeps pays the worker-spawn cost once.  Scalar
-(``float``) metric values return through a
-:mod:`multiprocessing.shared_memory` float64 buffer — one slot per
-``(cell, seed)`` — instead of being pickled back; non-float values fall
-back to pickle transparently.  Completions stream through
+driver running several sweeps pays the worker-spawn cost once.  Every
+metric value returns by pickle, which round-trips floats (NaN and
+``-0.0`` included), ints and series exactly.  Completions stream through
 ``concurrent.futures.as_completed``, so an ``on_result(cell_idx,
 seed_idx, value)`` callback observes partial results while the sweep is
 still running.
@@ -37,15 +35,6 @@ parallel win (an explicit ``workers=`` argument is always honored).
 Work items whose config or metric cannot be pickled (e.g. a lambda
 metric) run serially — parallelism is an optimisation, never a
 behavioural requirement.
-
-Besides the result buffer, the parallel path shares *input* position
-arrays: cells that repeat one mobility signature (same seed, node
-count, field, and mobility parameters — e.g. a protocol comparison at
-fixed density) get their t=0 deployment computed once in the parent
-(:func:`repro.experiments.runner.initial_positions_for`) and mapped
-read-only into every worker, which passes it to
-``run_experiment(initial_positions=...)`` to pre-seed the spatial
-index.  Results are identical with or without the sharing.
 """
 
 from __future__ import annotations
@@ -58,16 +47,12 @@ from concurrent.futures import as_completed
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
-
-import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     RunResult,
     default_runs,
-    initial_positions_for,
     run_experiment,
     seed_for_run,
 )
@@ -145,102 +130,16 @@ class Cell:
 
 
 # ----------------------------------------------------------------------
-# worker side
+# one seed (serial path and pool workers alike)
 # ----------------------------------------------------------------------
-#: Sentinel return tag: the value was written to the shared buffer.
-_IN_SHM = ("__repro_in_shm__",)
-
-#: Worker-process cache of the currently attached result buffer.  Each
-#: ``map_cells`` call uses one segment; attaching a new name drops the
-#: stale attachment from the previous sweep.
-_worker_shm: dict[str, shared_memory.SharedMemory] = {}
-
-
-#: Worker-process cache of the currently attached *position* segment,
-#: kept separate from the result-buffer cache: both segments are live
-#: during one sweep, and either cache evicts only its own stale names.
-_worker_pos_shm: dict[str, shared_memory.SharedMemory] = {}
-
-
-def _attach_segment(
-    cache: dict[str, shared_memory.SharedMemory], name: str
-) -> shared_memory.SharedMemory:
-    shm = cache.get(name)
-    if shm is None:
-        for stale in list(cache):
-            cache.pop(stale).close()
-        # Attaching re-registers the name with the resource tracker;
-        # under the fork start method workers share the parent's
-        # tracker, so that is a set-add no-op and the parent's unlink
-        # cleans up exactly once.  (Python 3.13's track=False makes
-        # this explicit; until then, don't unregister here — doing so
-        # would race the owning parent's own unregistration.)
-        shm = shared_memory.SharedMemory(name=name)
-        cache[name] = shm
-    return shm
-
-
-def _attach_result_buffer(name: str) -> shared_memory.SharedMemory:
-    return _attach_segment(_worker_shm, name)
-
-
-def _shared_positions(pos_ref: tuple | None) -> np.ndarray | None:
-    """Read-only view of a shared t=0 deployment, or ``None``.
-
-    ``pos_ref`` is ``(segment_name, byte_offset, n_nodes)``.  Any
-    attach failure degrades to ``None`` — the worker then derives the
-    deployment itself during network construction, which is slower but
-    bit-identical.
-    """
-    if pos_ref is None:
-        return None
-    name, offset, n = pos_ref
-    try:
-        shm = _attach_segment(_worker_pos_shm, name)
-        view = np.ndarray(
-            (n, 2), dtype=np.float64, buffer=shm.buf, offset=offset
-        )
-    except (OSError, ValueError) as exc:
-        log.warning(
-            "shared position segment unavailable (%s); "
-            "recomputing deployment in-worker", exc,
-        )
-        return None
-    view.flags.writeable = False
-    return view
-
-
 def _run_seed(payload: tuple) -> Any:
-    """Worker entry point: one seeded simulation → one metric value.
+    """One seeded simulation → one metric value.
 
-    ``payload`` is ``(slot, shm_name, cfg, metric, max_packets)`` with
-    an optional trailing ``pos_ref`` naming this config's shared t=0
-    deployment (see :meth:`SweepExecutor._build_position_segment`).
-    Exact-``float`` values are written into slot ``slot`` of the shared
-    float64 buffer and only a tag crosses the pickle boundary; anything
-    else (ints, series, None) returns by pickle so the caller sees the
-    identical object the serial path would produce.
+    ``payload`` is ``(cfg, metric, max_packets_per_pair)``.  The serial
+    path calls this in-process; the parallel path submits it to the
+    pool, whose pickle round trip hands back the identical value.
     """
-    slot, shm_name, cfg, metric, max_packets_per_pair = payload[:5]
-    pos_ref = payload[5] if len(payload) > 5 else None
-    result = run_experiment(
-        cfg,
-        max_packets_per_pair=max_packets_per_pair,
-        initial_positions=_shared_positions(pos_ref),
-    )
-    value = metric(result)
-    if shm_name is not None and type(value) is float:
-        shm = _attach_result_buffer(shm_name)
-        np.ndarray(
-            (shm.size // 8,), dtype=np.float64, buffer=shm.buf
-        )[slot] = value
-        return _IN_SHM
-    return ("value", value)
-
-
-def _run_seed_local(payload: tuple) -> Any:
-    """In-process (serial) twin of :func:`_run_seed` — no transport."""
-    _slot, _shm_name, cfg, metric, max_packets_per_pair = payload
+    cfg, metric, max_packets_per_pair = payload
     result = run_experiment(cfg, max_packets_per_pair=max_packets_per_pair)
     return metric(result)
 
@@ -268,7 +167,7 @@ def _representative_payloads(payloads: Sequence[tuple]) -> list[tuple]:
     seen: set[int] = set()
     reps: list[tuple] = []
     for p in payloads:
-        metric_id = id(p[3])
+        metric_id = id(p[1])
         if metric_id not in seen:
             seen.add(metric_id)
             reps.append(p)
@@ -282,7 +181,7 @@ _PENDING = object()
 
 
 class SweepExecutor:
-    """Persistent sweep executor: warm process pool + shared-memory IPC.
+    """Persistent sweep executor: a warm process pool.
 
     Parameters
     ----------
@@ -290,11 +189,6 @@ class SweepExecutor:
         Pool width; ``None`` defers to ``REPRO_WORKERS`` /
         ``os.cpu_count()`` at each ``map_cells`` call, ``1`` forces
         serial execution.
-    use_shared_memory:
-        Transport for exact-``float`` metric values.  ``True`` (the
-        default) returns them through a shared float64 buffer; ``False``
-        forces the legacy pickle return path (kept for benchmarking —
-        results are bit-identical either way).
 
     The executor is a context manager; ``close()`` shuts the warm pool
     down.  The module-level :func:`parallel_map_cells` uses a shared
@@ -304,11 +198,8 @@ class SweepExecutor:
     #: one retry on a fresh pool before BrokenProcessPool surfaces
     MAX_POOL_RETRIES = 1
 
-    def __init__(
-        self, workers: int | None = None, use_shared_memory: bool = True
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self._workers_arg = workers
-        self.use_shared_memory = use_shared_memory
         self._pool: ProcessPoolExecutor | None = None
         self._pool_width = 0
         #: diagnostics: fresh pools created after a worker death
@@ -378,10 +269,7 @@ class SweepExecutor:
         for cell_idx, cell in enumerate(cells):
             start = len(payloads)
             for seed_idx, cfg in enumerate(cell.seed_configs()):
-                slot = len(payloads)
-                payloads.append(
-                    (slot, None, cfg, cell.metric, cell.max_packets_per_pair)
-                )
+                payloads.append((cfg, cell.metric, cell.max_packets_per_pair))
                 coords.append((cell_idx, seed_idx))
             spans.append((start, len(payloads)))
 
@@ -434,7 +322,7 @@ class SweepExecutor:
         for slot, payload in enumerate(payloads):
             if values[slot] is not _PENDING:
                 continue
-            values[slot] = _run_seed_local(payload)
+            values[slot] = _run_seed(payload)
             if on_result is not None:
                 cell_idx, seed_idx = coords[slot]
                 on_result(cell_idx, seed_idx, values[slot])
@@ -447,116 +335,25 @@ class SweepExecutor:
         width: int,
         on_result: OnResult | None,
     ) -> None:
-        shm: shared_memory.SharedMemory | None = None
-        buf: np.ndarray | None = None
-        if self.use_shared_memory:
+        retries = 0
+        while True:
             try:
-                shm = shared_memory.SharedMemory(
-                    create=True, size=8 * len(payloads)
-                )
-                buf = np.ndarray(
-                    (len(payloads),), dtype=np.float64, buffer=shm.buf
-                )
-            except (OSError, ValueError) as exc:
+                self._drain_pool(payloads, coords, values, width, on_result)
+                return
+            except BrokenProcessPool:
+                self._shutdown_pool()
+                if retries >= self.MAX_POOL_RETRIES:
+                    raise
+                retries += 1
+                self.pool_restarts += 1
+                pending = sum(1 for v in values if v is _PENDING)
                 log.warning(
-                    "shared-memory result buffer unavailable (%s); "
-                    "falling back to pickled results",
-                    exc,
+                    "worker process died; retrying %d pending seed(s) "
+                    "on a fresh pool (attempt %d/%d)",
+                    pending,
+                    retries + 1,
+                    self.MAX_POOL_RETRIES + 1,
                 )
-                shm = None
-        pos_shm, pos_refs = self._build_position_segment(payloads)
-        try:
-            retries = 0
-            while True:
-                try:
-                    self._drain_pool(
-                        payloads, coords, values, width, shm, buf,
-                        pos_refs, on_result,
-                    )
-                    return
-                except BrokenProcessPool:
-                    self._shutdown_pool()
-                    if retries >= self.MAX_POOL_RETRIES:
-                        raise
-                    retries += 1
-                    self.pool_restarts += 1
-                    pending = sum(1 for v in values if v is _PENDING)
-                    log.warning(
-                        "worker process died; retrying %d pending seed(s) "
-                        "on a fresh pool (attempt %d/%d)",
-                        pending,
-                        retries + 1,
-                        self.MAX_POOL_RETRIES + 1,
-                    )
-        finally:
-            if shm is not None:
-                buf = None  # release the numpy view before closing
-                shm.close()
-                shm.unlink()
-            if pos_shm is not None:
-                pos_shm.close()
-                pos_shm.unlink()
-
-    def _build_position_segment(
-        self, payloads: Sequence[tuple]
-    ) -> tuple[shared_memory.SharedMemory | None, list[tuple | None] | None]:
-        """Shared t=0 deployments for configs that repeat a mobility seed.
-
-        Groups the payloads by *mobility signature* — the config fields
-        that fully determine the t=0 deployment draws (seed, node
-        count, field size, mobility model and its parameters).  Every
-        signature shared by at least two payloads gets its deployment
-        computed once (:func:`initial_positions_for`) and packed into
-        one shared-memory segment; the returned ``pos_refs`` list maps
-        each payload slot to its ``(name, byte_offset, n_nodes)``
-        reference (``None`` where nothing is shared — a deployment used
-        once is cheapest computed where it is used).
-
-        Closes ROADMAP's "share the position arrays too" item: sweep
-        shapes like protocol comparisons at a fixed density hand every
-        co-seeded worker the same read-only array instead of having
-        each one re-derive it.
-        """
-        if not self.use_shared_memory:
-            return None, None
-        sig_slots: dict[tuple, list[int]] = {}
-        for slot, p in enumerate(payloads):
-            cfg = p[2]
-            sig = (
-                cfg.seed, cfg.n_nodes, cfg.field_size, cfg.mobility,
-                cfg.speed, cfg.n_groups, cfg.group_range,
-            )
-            sig_slots.setdefault(sig, []).append(slot)
-        shared = {s: sl for s, sl in sig_slots.items() if len(sl) >= 2}
-        if not shared:
-            return None, None
-        arrays = [
-            initial_positions_for(payloads[slots[0]][2])
-            for slots in shared.values()
-        ]
-        try:
-            pos_shm = shared_memory.SharedMemory(
-                create=True, size=sum(a.nbytes for a in arrays)
-            )
-        except (OSError, ValueError) as exc:
-            log.warning(
-                "shared-memory position segment unavailable (%s); "
-                "workers will derive deployments themselves", exc,
-            )
-            return None, None
-        pos_refs: list[tuple | None] = [None] * len(payloads)
-        offset = 0
-        for arr, slots in zip(arrays, shared.values()):
-            dst = np.ndarray(
-                arr.shape, dtype=np.float64, buffer=pos_shm.buf,
-                offset=offset,
-            )
-            dst[:] = arr
-            ref = (pos_shm.name, offset, arr.shape[0])
-            for slot in slots:
-                pos_refs[slot] = ref
-            offset += arr.nbytes
-        return pos_shm, pos_refs
 
     def _drain_pool(
         self,
@@ -564,32 +361,20 @@ class SweepExecutor:
         coords: Sequence[tuple[int, int]],
         values: list[Any],
         width: int,
-        shm: shared_memory.SharedMemory | None,
-        buf: np.ndarray | None,
-        pos_refs: Sequence[tuple | None] | None,
         on_result: OnResult | None,
     ) -> None:
         """Submit every still-pending payload and stream completions."""
         pool = self._ensure_pool(width)
-        shm_name = shm.name if shm is not None else None
-        futures = {}
-        for slot, payload in enumerate(payloads):
-            if values[slot] is not _PENDING:
-                continue
-            pos_ref = pos_refs[slot] if pos_refs is not None else None
-            wire = (slot, shm_name, *payload[2:], pos_ref)
-            futures[pool.submit(_run_seed, wire)] = slot
+        futures = {
+            pool.submit(_run_seed, payload): slot
+            for slot, payload in enumerate(payloads)
+            if values[slot] is _PENDING
+        }
         try:
             for fut in as_completed(futures):
                 slot = futures[fut]
-                tag = fut.result()  # re-raises worker-side exceptions
-                if tag == _IN_SHM:
-                    assert buf is not None
-                    # float64 round-trips exactly: bit-identical to the
-                    # worker's (and hence the serial path's) value.
-                    values[slot] = float(buf[slot])
-                else:
-                    values[slot] = tag[1]
+                # re-raises worker-side exceptions
+                values[slot] = fut.result()
                 if on_result is not None:
                     cell_idx, seed_idx = coords[slot]
                     on_result(cell_idx, seed_idx, values[slot])

@@ -184,33 +184,6 @@ def make_mobility_factory(cfg: ExperimentConfig, engine: Engine, fld: Field):
     return group_factory
 
 
-def initial_positions_for(cfg: ExperimentConfig) -> np.ndarray:
-    """The t=0 node deployment of a config, as an ``(n_nodes, 2)`` array.
-
-    Replays exactly the random draws :class:`~repro.net.network.Network`
-    construction makes (same named streams, same order), so row ``i``
-    is bit-identical to ``network.position_of(i)`` at t=0.  Only the
-    *origins* are deterministic from the config alone: trajectory legs
-    beyond t=0 extend lazily from each node's private stream, whose
-    consumption interleaves with protocol activity (pseudonym fuzz), so
-    full traces cannot be precomputed without running the protocol.
-
-    The sweep executor uses this to compute each distinct deployment
-    once and hand it to co-located cells' workers through shared memory
-    (cells differing only in protocol share their mobility seed).
-    """
-    engine = Engine(seed=cfg.seed)
-    fld = Field(cfg.field_size, cfg.field_size)
-    factory = make_mobility_factory(cfg, engine, fld)
-    out = np.empty((cfg.n_nodes, 2), dtype=np.float64)
-    for i in range(cfg.n_nodes):
-        mobility = factory(i, engine.rng.stream(f"node-{i}"))
-        p = mobility.position(0.0)
-        out[i, 0] = p.x
-        out[i, 1] = p.y
-    return out
-
-
 def make_protocol(
     cfg: ExperimentConfig,
     network: Network,
@@ -315,7 +288,6 @@ def choose_pairs(
 def run_experiment(
     cfg: ExperimentConfig,
     max_packets_per_pair: int | None = None,
-    initial_positions: np.ndarray | None = None,
     on_setup: Callable[[], None] | None = None,
 ) -> RunResult:
     """Execute one seeded simulation end to end.
@@ -328,23 +300,16 @@ def run_experiment(
     from the returned :class:`RunResult`, so deferring collection to
     after the run changes nothing observable.
 
-    ``initial_positions`` optionally seeds the network's spatial index
-    with the t=0 deployment (see :func:`initial_positions_for`); results
-    are identical with or without it.  ``on_setup`` is called once the
-    network/protocol stack is built, immediately before the first event
-    runs — benchmarks use it to separate fixed setup cost (key
-    generation, registration) from event-loop cost.
+    ``on_setup`` is called once the network/protocol stack is built,
+    immediately before the first event runs — benchmarks use it to
+    separate fixed setup cost (key generation, registration) from
+    event-loop cost.
     """
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
     try:
-        return _run_experiment(
-            cfg,
-            max_packets_per_pair,
-            initial_positions=initial_positions,
-            on_setup=on_setup,
-        )
+        return _run_experiment(cfg, max_packets_per_pair, on_setup=on_setup)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -353,7 +318,6 @@ def run_experiment(
 def _run_experiment(
     cfg: ExperimentConfig,
     max_packets_per_pair: int | None = None,
-    initial_positions: np.ndarray | None = None,
     on_setup: Callable[[], None] | None = None,
 ) -> RunResult:
     engine = Engine(seed=cfg.seed)
@@ -365,7 +329,6 @@ def _run_experiment(
         cfg.n_nodes,
         radio=RadioModel(range_m=cfg.radio_range),
         hello_interval=cfg.hello_interval,
-        initial_positions=initial_positions,
     )
     metrics = MetricsCollector()
     cost = CryptoCostModel()

@@ -7,9 +7,9 @@ averaged over seeds, and returns mean/CI series ready for
 Cells execute through the persistent executor of
 :mod:`repro.experiments.parallel`: with ``REPRO_WORKERS`` > 1 (the
 default is ``os.cpu_count()``) every (protocol × x-value × seed)
-simulation runs in a warm process pool with scalar results streaming
-back through a shared-memory buffer, and the results are bit-identical
-to the serial path because each cell is independently seeded.  Metrics
+simulation runs in a warm process pool with results streaming back as
+each seed finishes, and the results are bit-identical to the serial
+path because each cell is independently seeded.  Metrics
 passed as lambdas cannot cross process boundaries and run serially
 (with a logged warning) — prefer the named ``metric_*`` extractors
 below.  Pass ``on_result`` to observe partial results while the sweep

@@ -70,13 +70,6 @@ class Network:
     carrier_sense_factor:
         Carrier-sense radius as a multiple of the transmission range
         (802.11's ~2.2× is the default) for the contention-load count.
-    initial_positions:
-        Optional ``(n_nodes, 2)`` t=0 deployment (e.g. a shared-memory
-        view handed down by the sweep executor).  The array is copied
-        and pre-seeds the spatial index, so the first snapshot refresh
-        adopts positions incrementally instead of building the index
-        from scratch.  Results are identical with or without it — even
-        a stale array only costs a rebuild, never correctness.
     """
 
     def __init__(
@@ -91,7 +84,6 @@ class Network:
         keypair_bits: int = 64,
         carrier_sense_factor: float = 2.2,
         neighbor_ttl: float | None = None,
-        initial_positions: np.ndarray | None = None,
     ) -> None:
         if n_nodes <= 0:
             raise ValueError(f"n_nodes must be positive, got {n_nodes}")
@@ -129,18 +121,6 @@ class Network:
         self._snapshot_scratch: np.ndarray | None = None
         self._snapshot_index: GridIndex | None = None
         self._snapshot_force_rebuild = False
-        if initial_positions is not None:
-            seed_pos = np.array(initial_positions, dtype=np.float64)
-            if seed_pos.shape != (n_nodes, 2):
-                raise ValueError(
-                    f"initial_positions must have shape ({n_nodes}, 2), "
-                    f"got {seed_pos.shape}"
-                )
-            # ``_snapshot_time`` stays stale (-1.0): the first
-            # ``snapshot()`` call interpolates real positions and
-            # incrementally adopts them into this pre-built index.
-            self._snapshot_index = GridIndex(seed_pos, self.radio.range_m)
-            self._snapshot_positions = seed_pos
         self._mobilities = [node.mobility for node in self.nodes]
         # Segment-cached batch interpolator: bit-identical to
         # positions_at() but only consults models whose trajectory leg

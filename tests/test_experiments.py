@@ -45,6 +45,8 @@ class TestConfig:
             ExperimentConfig(n_nodes=10, n_pairs=6)
         with pytest.raises(ValueError):
             ExperimentConfig(speed=-1)
+        with pytest.raises(ValueError, match=r"^speed must be >= 0"):
+            ExperimentConfig(speed=float("nan"))
 
     @pytest.mark.parametrize(
         "name",
@@ -58,6 +60,18 @@ class TestConfig:
     def test_non_positive_field_rejected_by_name(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be positive, got "):
             ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "duration", "field_size", "group_range", "send_interval",
+            "packet_size", "radio_range", "location_update_interval",
+            "hello_interval", "speed", "drain_time",
+        ],
+    )
+    def test_infinite_field_rejected_by_name(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got inf$"):
+            ExperimentConfig(**{name: float("inf")})
 
     @pytest.mark.parametrize("value", [-3, -0.5, float("nan")])
     def test_negative_drain_time_rejected(self, value):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import os
+import struct
 
 import pytest
 from concurrent.futures.process import BrokenProcessPool
@@ -42,13 +43,18 @@ def _conditionally_exploding_metric(result):
 
 
 def _series_metric(result):
-    """Non-float metric: exercises the pickle fallback transport."""
+    """Non-float metric: a list must come back as a list."""
     return [result.delivery_rate, float(result.config.seed)]
 
 
 def _int_metric(result):
-    """Exact-int metric: must NOT be coerced through the float buffer."""
+    """Exact-int metric: must NOT come back coerced to float."""
     return int(result.config.seed)
+
+
+def _special_float_metric(result):
+    """NaN and negative zero: floats whose bits equality can't see."""
+    return [float("nan"), -0.0, result.delivery_rate]
 
 
 def _dying_metric(result):
@@ -142,6 +148,21 @@ class TestDeterminism:
             ]
             assert values == expected
 
+    def test_co_seeded_parallel_matches_serial(self):
+        # End to end through the pool: cells that share a seed across
+        # protocols must stay bit-identical to serial execution.
+        cells = [
+            Cell(SMALL, metric_delivery_rate, runs=2),
+            Cell(SMALL.with_(protocol="GPSR"), metric_delivery_rate, runs=2),
+        ]
+        with SweepExecutor(workers=2) as ex:
+            parallel = ex.map_cells(cells)
+        serial = [
+            [metric_delivery_rate(r) for r in run_many(c.cfg, runs=2)]
+            for c in cells
+        ]
+        assert parallel == serial
+
 
 class TestSweepIntegration:
     def test_sweep_metric_parallel_matches_serial(self):
@@ -225,31 +246,11 @@ class TestStreamingCallback:
 
 
 class TestResultTransport:
-    """Shared-memory and pickle transports must agree bit-for-bit."""
-
-    CELLS = staticmethod(
-        lambda: [
-            Cell(SMALL, metric_delivery_rate, runs=2),
-            Cell(SMALL.with_(protocol="GPSR"), metric_mean_hops, runs=2),
-        ]
-    )
-
-    def test_shm_and_pickle_match_serial(self):
-        cells = self.CELLS()
-        with SweepExecutor(workers=1) as serial_ex:
-            serial = serial_ex.map_cells(cells)
-        with SweepExecutor(workers=2, use_shared_memory=True) as shm_ex:
-            via_shm = shm_ex.map_cells(cells)
-        with SweepExecutor(workers=2, use_shared_memory=False) as pkl_ex:
-            via_pickle = pkl_ex.map_cells(cells)
-        assert via_shm == serial  # exact equality, not approx
-        assert via_pickle == serial
-        for group in via_shm:
-            assert all(type(v) is float for v in group)
+    """Every metric value crosses the pool exactly as serial returns it."""
 
     def test_non_float_metric_uses_pickle_fallback(self):
-        # Lists can't ride the float64 buffer; they must still arrive
-        # intact (and identical to serial) via the pickle path.
+        # Series return by pickle like every value: intact and
+        # identical to serial.
         cell = Cell(SMALL, _series_metric, runs=2)
         with SweepExecutor(workers=2) as ex:
             parallel = ex.map_cells([cell])[0]
@@ -264,6 +265,19 @@ class TestResultTransport:
             parallel = ex.map_cells([cell])[0]
         assert parallel == [seed_for_run(SMALL, 0), seed_for_run(SMALL, 1)]
         assert all(type(v) is int for v in parallel)
+
+    def test_nan_and_negative_zero_cross_bit_exact(self):
+        # ``aggregate`` drops NaNs, so a NaN must arrive as a NaN (and
+        # -0.0 keep its sign): compare bit patterns, not values.
+        cell = Cell(SMALL, _special_float_metric, runs=2)
+        with SweepExecutor(workers=2) as ex:
+            parallel = ex.map_cells([cell])[0]
+        serial = [_special_float_metric(r) for r in run_many(SMALL, runs=2)]
+
+        def bits(rows):
+            return [[struct.pack("<d", v) for v in row] for row in rows]
+
+        assert bits(parallel) == bits(serial)
 
     def test_warm_pool_is_reused_across_calls(self):
         with SweepExecutor(workers=2) as ex:
@@ -338,70 +352,6 @@ class TestColdPoolBreakEven:
         with SweepExecutor(workers=2) as ex:
             ex.map_cells([Cell(SMALL, metric_delivery_rate, runs=2)])
             assert ex._pool is not None
-
-
-class TestSharedPositionSegment:
-    """Co-seeded cells share one t=0 deployment through shared memory."""
-
-    def test_refs_cover_co_seeded_cells(self):
-        import numpy as np
-
-        from repro.experiments.runner import initial_positions_for
-
-        cells = [
-            Cell(SMALL, metric_delivery_rate, runs=2),
-            Cell(SMALL.with_(protocol="GPSR"), metric_delivery_rate, runs=2),
-        ]
-        payloads = []
-        for cell in cells:
-            for cfg in cell.seed_configs():
-                payloads.append(
-                    (len(payloads), None, cfg, cell.metric, None)
-                )
-        ex = SweepExecutor(workers=2)
-        pos_shm, refs = ex._build_position_segment(payloads)
-        assert pos_shm is not None and refs is not None
-        try:
-            # Same seed across protocols shares; different seeds don't.
-            assert refs[0] == refs[2]
-            assert refs[1] == refs[3]
-            assert refs[0] != refs[1]
-            name, offset, n = refs[0]
-            assert name == pos_shm.name
-            assert n == SMALL.n_nodes
-            view = np.ndarray(
-                (n, 2), dtype=np.float64, buffer=pos_shm.buf, offset=offset
-            )
-            np.testing.assert_array_equal(
-                view, initial_positions_for(payloads[0][2])
-            )
-        finally:
-            pos_shm.close()
-            pos_shm.unlink()
-
-    def test_unique_signatures_share_nothing(self):
-        cell = Cell(SMALL, metric_delivery_rate, runs=3)
-        payloads = [
-            (i, None, cfg, cell.metric, None)
-            for i, cfg in enumerate(cell.seed_configs())
-        ]
-        pos_shm, refs = SweepExecutor()._build_position_segment(payloads)
-        assert pos_shm is None and refs is None
-
-    def test_co_seeded_parallel_matches_serial(self):
-        # End to end through the pool: the shared-deployment path must
-        # stay bit-identical to serial execution.
-        cells = [
-            Cell(SMALL, metric_delivery_rate, runs=2),
-            Cell(SMALL.with_(protocol="GPSR"), metric_delivery_rate, runs=2),
-        ]
-        with SweepExecutor(workers=2) as ex:
-            parallel = ex.map_cells(cells)
-        serial = [
-            [metric_delivery_rate(r) for r in run_many(c.cfg, runs=2)]
-            for c in cells
-        ]
-        assert parallel == serial
 
 
 class TestCellValidation:
