@@ -12,12 +12,12 @@ multiplicative hash of the pair, which let two distinct cells collide
 and silently merge — misplacing their nodes under the first cell's key
 and dropping true neighbors.  Sorting on the exact pair cannot collide.
 
-The index is incrementally updatable: :meth:`GridIndex.move` and
-:meth:`GridIndex.update_positions` rebucket only nodes whose cell
-changed, so a snapshot refresh where most nodes stayed in their cell
-(the common case — at the paper's default 2 m/s almost nobody crosses
-a 250 m cell boundary between hello rounds) costs a vectorised diff
-instead of a full sort-and-bucket rebuild (see
+The index is maintained through one call,
+:meth:`GridIndex.adopt_positions`, which rebuckets only nodes whose
+cell changed, so a snapshot refresh where most nodes stayed in their
+cell (the common case — at the paper's default 2 m/s almost nobody
+crosses a 250 m cell boundary between hello rounds) costs a vectorised
+diff instead of a full sort-and-bucket rebuild (see
 :meth:`repro.net.network.Network.snapshot`).
 """
 
@@ -26,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 #: Below this population, one vectorised full scan beats per-bucket
-#: gathering for rect and nearest queries (radius queries still use the
-#: grid: their 3×3-cell candidate set is small at any N).
+#: gathering for rect queries (radius queries still use the grid: their
+#: 3×3-cell candidate set is small at any N).
 _SMALL_N = 512
 
 
@@ -39,9 +39,8 @@ class GridIndex:
     positions:
         Array of shape ``(N, 2)`` of x/y coordinates in metres.  The
         index takes ownership of this array when it is already
-        float64: in-place updates (:meth:`move`,
-        :meth:`update_positions`) write through to it.  Pass a copy if
-        the caller needs the original preserved.
+        float64 and never writes to it; :meth:`adopt_positions` swaps
+        in a new array rather than updating this one in place.
     cell_size:
         Grid pitch; choose the dominant query radius for best
         performance (queries with other radii remain correct).
@@ -66,11 +65,8 @@ class GridIndex:
         # one key and silently merge their buckets.
         if self._n:
             cx_min = int(cells[:, 0].min())
-            cx_max = int(cells[:, 0].max())
             cy_min = int(cells[:, 1].min())
             cy_max = int(cells[:, 1].max())
-            self._cell_min = (cx_min, cy_min)
-            self._cell_max = (cx_max, cy_max)
             # Injective while the occupied box has < 2^63 cells, i.e.
             # for any field reachable from float64 coordinates.
             stride = np.int64(cy_max - cy_min + 1)
@@ -88,8 +84,6 @@ class GridIndex:
                 self._buckets[(int(c[0]), int(c[1]))] = idx
         else:
             self._buckets = {}
-            self._cell_min = (0, 0)
-            self._cell_max = (-1, -1)
 
     def __len__(self) -> int:
         return self._n
@@ -136,14 +130,6 @@ class GridIndex:
             self._add_to_bucket((int(cells[i, 0]), int(cells[i, 1])), i)
         self.positions = new_positions
         self._cells = cells
-        if crossed.size:
-            moved = cells[crossed]
-            self._grow_bounds(
-                int(moved[:, 0].min()),
-                int(moved[:, 1].min()),
-                int(moved[:, 0].max()),
-                int(moved[:, 1].max()),
-            )
         return int(crossed.size)
 
     def _remove_from_bucket(self, key: tuple[int, int], i: int) -> None:
@@ -159,103 +145,6 @@ class GridIndex:
             self._buckets[key] = np.array([i], dtype=np.int64)
         else:
             self._buckets[key] = np.append(bucket, np.int64(i))
-
-    def _grow_bounds(self, cx_lo: int, cy_lo: int, cx_hi: int, cy_hi: int) -> None:
-        # Bounds only ever grow: ``nearest`` uses them as an upper
-        # bound on the ring search, so a conservative (too large) box
-        # stays correct — shrinking exactly would cost a full scan.
-        self._cell_min = (
-            min(self._cell_min[0], cx_lo),
-            min(self._cell_min[1], cy_lo),
-        )
-        self._cell_max = (
-            max(self._cell_max[0], cx_hi),
-            max(self._cell_max[1], cy_hi),
-        )
-
-    def move(self, i: int, x: float, y: float) -> bool:
-        """Move node ``i`` to ``(x, y)``, rebucketing only if needed.
-
-        Returns ``True`` when the node changed grid cell (and was
-        rebucketted), ``False`` when it merely moved within its cell.
-        Query results afterwards are identical to a from-scratch
-        rebuild at the new positions.
-        """
-        if not 0 <= i < self._n:
-            raise IndexError(f"node id {i} out of range [0, {self._n})")
-        self.positions[i, 0] = x
-        self.positions[i, 1] = y
-        cs = self.cell_size
-        cx = int(np.floor(x / cs))
-        cy = int(np.floor(y / cs))
-        old = self._cells[i]
-        if cx == old[0] and cy == old[1]:
-            return False
-        self._remove_from_bucket((int(old[0]), int(old[1])), i)
-        self._add_to_bucket((cx, cy), i)
-        self._cells[i, 0] = cx
-        self._cells[i, 1] = cy
-        self._grow_bounds(cx, cy, cx, cy)
-        return True
-
-    def update_positions(
-        self, changed_ids: np.ndarray, new_positions: np.ndarray
-    ) -> int:
-        """Batch position update; rebuckets only cell-crossing nodes.
-
-        Parameters
-        ----------
-        changed_ids:
-            Unique node indices whose position changed (any node not
-            listed keeps its stored position).
-        new_positions:
-            ``(len(changed_ids), 2)`` array of their new coordinates.
-
-        Returns the number of nodes that changed cell.  The index is
-        afterwards result-identical to ``GridIndex(updated_positions,
-        cell_size)`` for every query method.
-        """
-        ids = np.asarray(changed_ids, dtype=np.int64)
-        if ids.size == 0:
-            return 0
-        new_positions = np.asarray(new_positions, dtype=np.float64)
-        if new_positions.shape != (ids.size, 2):
-            raise ValueError(
-                f"new_positions must be ({ids.size}, 2), "
-                f"got {new_positions.shape}"
-            )
-        if ids.min() < 0 or ids.max() >= self._n:
-            raise IndexError(
-                f"node ids out of range [0, {self._n}): {ids}"
-            )
-        self.positions[ids] = new_positions
-        new_cells = np.floor(new_positions / self.cell_size).astype(np.int64)
-        old_cells = self._cells[ids]
-        crossed = (new_cells[:, 0] != old_cells[:, 0]) | (
-            new_cells[:, 1] != old_cells[:, 1]
-        )
-        n_crossed = int(np.count_nonzero(crossed))
-        if n_crossed == 0:
-            return 0
-        moved_ids = ids[crossed]
-        moved_old = old_cells[crossed]
-        moved_new = new_cells[crossed]
-        for k in range(n_crossed):
-            i = int(moved_ids[k])
-            self._remove_from_bucket(
-                (int(moved_old[k, 0]), int(moved_old[k, 1])), i
-            )
-            self._add_to_bucket(
-                (int(moved_new[k, 0]), int(moved_new[k, 1])), i
-            )
-        self._cells[ids] = new_cells
-        self._grow_bounds(
-            int(moved_new[:, 0].min()),
-            int(moved_new[:, 1].min()),
-            int(moved_new[:, 0].max()),
-            int(moved_new[:, 1].max()),
-        )
-        return n_crossed
 
     # ------------------------------------------------------------------
     def _gather_cells(
@@ -399,11 +288,8 @@ class GridIndex:
     def nearest(self, x: float, y: float, exclude: int | None = None) -> int:
         """Index of the node nearest to ``(x, y)``.
 
-        Expanding-ring search over the grid buckets: candidate cells
-        are visited in growing Chebyshev rings around the query cell,
-        stopping once no unvisited ring can beat the best hit.  Ties on
-        distance resolve to the smallest node index (matching a full
-        ``argmin`` scan).
+        One vectorised ``argmin`` over every position, so ties on
+        distance resolve to the smallest node index.
 
         Parameters
         ----------
@@ -415,81 +301,10 @@ class GridIndex:
         ValueError
             If the index is empty or holds only the excluded node.
         """
-        if self._n == 0:
+        if self._n == 0 or (self._n == 1 and exclude == 0):
             raise ValueError("nearest() on an empty index")
-        if self._n <= _SMALL_N:
-            # A full argmin is one vectorised op — faster than ring
-            # bookkeeping below a few hundred nodes, identical result
-            # (argmin and the ring search both tie-break to the
-            # smallest index).
-            if self._n == 1 and exclude == 0:
-                raise ValueError("nearest() on an empty index")
-            d = self.positions - np.array([x, y])
-            dist2 = (d * d).sum(axis=1)
-            if exclude is not None and 0 <= exclude < self._n:
-                dist2[exclude] = np.inf
-            return int(np.argmin(dist2))
-        cs = self.cell_size
-        cx = int(np.floor(x / cs))
-        cy = int(np.floor(y / cs))
-        # Largest ring that can still reach an occupied cell.
-        max_ring = max(
-            abs(cx - self._cell_min[0]),
-            abs(cx - self._cell_max[0]),
-            abs(cy - self._cell_min[1]),
-            abs(cy - self._cell_max[1]),
-        )
-        q = np.array([x, y])
-        best_idx = -1
-        best_d2 = np.inf
-        ring = 0
-        while ring <= max_ring:
-            # A cell in ring r is at least (r - 1) * cell_size away
-            # from any point inside the query's own cell.
-            if best_idx >= 0 and (ring - 1) * cs > 0 and (
-                ((ring - 1) * cs) ** 2 > best_d2
-            ):
-                break
-            cand = self._ring_candidates(cx, cy, ring)
-            if cand.size:
-                if exclude is not None:
-                    cand = cand[cand != exclude]
-                if cand.size:
-                    d = self.positions[cand] - q
-                    d2 = (d * d).sum(axis=1)
-                    k = int(np.argmin(d2))
-                    ring_d2 = float(d2[k])
-                    # Smallest index among ties within the ring.
-                    ring_idx = int(cand[d2 == ring_d2].min())
-                    if ring_d2 < best_d2 or (
-                        ring_d2 == best_d2 and ring_idx < best_idx
-                    ):
-                        best_d2 = ring_d2
-                        best_idx = ring_idx
-            ring += 1
-        if best_idx < 0:
-            raise ValueError("nearest() on an empty index")
-        return best_idx
-
-    def _ring_candidates(self, cx: int, cy: int, ring: int) -> np.ndarray:
-        """Indices of nodes in cells at Chebyshev distance ``ring``."""
-        buckets = self._buckets
-        if ring == 0:
-            bucket = buckets.get((cx, cy))
-            return bucket if bucket is not None else np.empty(0, dtype=np.int64)
-        chunks = []
-        for i in range(cx - ring, cx + ring + 1):
-            for j in (cy - ring, cy + ring):
-                bucket = buckets.get((i, j))
-                if bucket is not None:
-                    chunks.append(bucket)
-        for j in range(cy - ring + 1, cy + ring):
-            for i in (cx - ring, cx + ring):
-                bucket = buckets.get((i, j))
-                if bucket is not None:
-                    chunks.append(bucket)
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.concatenate(chunks)
+        d = self.positions - np.array([x, y])
+        dist2 = (d * d).sum(axis=1)
+        if exclude is not None and 0 <= exclude < self._n:
+            dist2[exclude] = np.inf
+        return int(np.argmin(dist2))

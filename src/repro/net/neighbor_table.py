@@ -61,7 +61,7 @@ class NeighborTable:
         # Column view of the sorted rows (positions, last-seen) for the
         # batched forwarding path; rebuilt lazily alongside ``_sorted``.
         self._columns: tuple | None = None
-        # Deferred hello ingests: (entries, idx, lo, hi, base) slices
+        # Deferred hello ingests: (entries, idx, lo, hi, addrs) slices
         # queued by ``ingest_shared`` and materialised — in arrival
         # order, so later rounds overwrite earlier ones exactly as an
         # eager store would — on the first read or eager write.  Most
@@ -78,10 +78,8 @@ class NeighborTable:
         table = self._entries
         pending = self._pending
         if len(pending) >= self._DEDUP_MIN:
-            addrs0 = pending[0][5]
-            if addrs0 is not None and all(
-                p[5] is addrs0 and p[4] == 0 for p in pending
-            ):
+            addrs0 = pending[0][4]
+            if all(p[4] is addrs0 for p in pending):
                 # Cross-round dedup: every queued slice indexes the same
                 # shared per-round address list (the hello round keeps
                 # ``tx_list`` object-identical while the active set is
@@ -105,30 +103,22 @@ class NeighborTable:
                     table[addrs0[t]] = rev[s][0][t]
                 pending.clear()
                 return
-        for entries, idx, lo, hi, base, addrs in pending:
-            if addrs is not None and base == 0:
-                # Hot path: gather addresses and rows with one C-level
-                # itemgetter each and merge via ``dict.update`` — same
-                # stores, same order, no per-row interpreter steps.
-                # ``idx`` may be a numpy array (the hello round shares
-                # one pair array per round); the slice is materialised
-                # here, per applied slice, not for the whole round.
-                if hi - lo > 1:
-                    rows = idx[lo:hi]
-                    if type(rows) is not list:
-                        rows = rows.tolist()
-                    g = itemgetter(*rows)
-                    table.update(zip(g(addrs), g(entries)))
-                else:
-                    t = idx[lo]
-                    table[addrs[t]] = entries[t]
-            elif addrs is None:
-                for t in idx[lo:hi]:
-                    e = entries[base + t]
-                    table[e.link_address] = e
+        for entries, idx, lo, hi, addrs in pending:
+            # Gather addresses and rows with one C-level itemgetter each
+            # and merge via ``dict.update`` — same stores, same order,
+            # no per-row interpreter steps.  ``idx`` may be a numpy
+            # array (the hello round shares one pair array per round);
+            # the slice is materialised here, per applied slice, not for
+            # the whole round.
+            if hi - lo > 1:
+                rows = idx[lo:hi]
+                if type(rows) is not list:
+                    rows = rows.tolist()
+                g = itemgetter(*rows)
+                table.update(zip(g(addrs), g(entries)))
             else:
-                for t in idx[lo:hi]:
-                    table[addrs[t]] = entries[base + t]
+                t = idx[lo]
+                table[addrs[t]] = entries[t]
         self._pending.clear()
 
     def update(self, entry: NeighborEntry) -> None:
@@ -163,10 +153,9 @@ class NeighborTable:
         idx: "list[int] | np.ndarray",
         lo: int,
         hi: int,
-        base: int,
-        addrs: list[int] | None = None,
+        addrs: list[int],
     ) -> None:
-        """Store rows ``entries[base + t] for t in idx[lo:hi]``.
+        """Store rows ``entries[t] for t in idx[lo:hi]``.
 
         The vectorised hello round hands every receiver a slice of one
         shared per-round index list.  The slice is queued, not stored:
@@ -176,15 +165,14 @@ class NeighborTable:
         per-row dict stores at all.  Equivalent to ``bulk_update`` over
         the same rows: application order is arrival order, so a later
         round's row for the same address wins exactly as it would
-        eagerly.  ``addrs``, when given, carries
-        ``entries[base + t].link_address`` as ``addrs[t]`` (one shared
-        per-round list), sparing the materialisation loop an attribute
-        load per row.
+        eagerly.  ``addrs`` carries ``entries[t].link_address`` as
+        ``addrs[t]`` (one shared per-round list), sparing the
+        materialisation loop an attribute load per row.
         """
         pending = self._pending
         if len(pending) >= self._PENDING_MAX:
             self._apply_pending()
-        pending.append((entries, idx, lo, hi, base, addrs))
+        pending.append((entries, idx, lo, hi, addrs))
         self._sorted = None
         self._columns = None
 

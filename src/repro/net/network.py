@@ -737,7 +737,7 @@ class Network:
             pending = nt._pending
             if len(pending) >= pending_max:
                 nt._apply_pending()
-            pending.append((entries, txs, a, b, 0, tx_list))
+            pending.append((entries, txs, a, b, tx_list))
             nt._sorted = None
             nt._columns = None
             a = b

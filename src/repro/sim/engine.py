@@ -11,11 +11,12 @@ Performance notes
 The heap stores plain ``(time, priority, seq, fn, category, event)``
 tuples rather than :class:`~repro.sim.events.Event` objects, so every
 sift comparison is a C-level tuple comparison (``seq`` is unique, so
-the trailing non-comparable fields are never reached).  ``run`` inlines
-the pop loop instead of re-checking the head and delegating to
-:meth:`step` per event.  Callers that never cancel an event — packet
-deliveries, which dominate the schedule — pass ``cancellable=False``
-and skip the :class:`Event`/:class:`EventHandle` allocations entirely.
+the trailing non-comparable fields are never reached).  ``run`` is the
+one dispatch loop: it pops and dispatches every entry kind inline,
+with no per-event method call.  Callers that never cancel an event —
+packet deliveries, which dominate the schedule — pass
+``cancellable=False`` and skip the :class:`Event`/:class:`EventHandle`
+allocations entirely.
 Frame deliveries go one step further: :meth:`schedule_deliver` pushes a
 *typed record* ``(time, priority, seq, OP_DELIVER, category, node,
 packet)`` with no callable at all, and the pop loop dispatches it with
@@ -281,63 +282,6 @@ class Engine:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Process the next pending event.
-
-        Returns
-        -------
-        bool
-            ``True`` if an event was processed, ``False`` if the queue
-            was empty (clock unchanged).
-        """
-        heap = self._heap
-        counts = self.event_counts
-        while heap:
-            entry = heapq.heappop(heap)
-            fn = entry[3]
-            if type(fn) is int:
-                # Typed delivery record: dispatch without a callback.
-                self._now = entry[0]
-                self.events_processed += 1
-                category = entry[4]
-                counts[category] = counts.get(category, 0) + 1
-                if fn == OP_DELIVER:
-                    entry[5].deliver(entry[6])
-                    return True
-                # Batch record: one delivery per step; the unfired tail
-                # returns to the heap under its reserved seqs so the
-                # step granularity matches the unbatched engine.
-                targets = entry[5]
-                packets = entry[6]
-                self._batch_extra -= 1
-                if len(targets) == 2:
-                    heapq.heappush(
-                        heap,
-                        (entry[0], entry[1], entry[2] + 1, OP_DELIVER,
-                         entry[4], targets[1], packets[1]),
-                    )
-                else:
-                    heapq.heappush(
-                        heap,
-                        (entry[0], entry[1], entry[2] + 1, OP_DELIVER_BATCH,
-                         entry[4], targets[1:], packets[1:]),
-                    )
-                targets[0].deliver(packets[0])
-                return True
-            ev = entry[5]
-            if ev is not None:
-                if ev.cancelled:
-                    self._n_cancelled -= 1
-                    continue
-                ev.fired = True
-            self._now = entry[0]
-            self.events_processed += 1
-            category = entry[4]
-            counts[category] = counts.get(category, 0) + 1
-            fn()
-            return True
-        return False
-
     def run(self, until: float | None = None) -> None:
         """Run until the queue drains or the clock passes ``until``.
 

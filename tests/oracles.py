@@ -3,10 +3,10 @@
 Spatial index
 -------------
 The repo's hottest data structure — :class:`repro.geometry.spatial_index.
-GridIndex` — is now mutated in place between snapshots, which makes a
-spot-check test style (a handful of hand-picked positions) too weak:
+GridIndex` — is rebucketed incrementally between snapshots, which makes
+a spot-check test style (a handful of hand-picked positions) too weak:
 an index can answer those correctly while carrying a corrupted bucket
-from three moves ago.  This module provides the stronger oracle:
+from three updates ago.  This module provides the stronger oracle:
 
 * :class:`NaiveIndex` — a brute-force implementation of the exact
   ``GridIndex`` query contract (sorted results, half-open rects,
@@ -14,7 +14,7 @@ from three moves ago.  This module provides the stronger oracle:
   is obviously correct by inspection, and
 * :func:`assert_same_answers` / :func:`run_differential` — harness
   helpers that drive any number of index implementations through the
-  same randomized move/query schedule and assert every answer agrees.
+  same randomized adopt/query schedule and assert every answer agrees.
 
 Any future index variant (k-d tree, sorted-array sweep, GPU bucketing)
 can be dropped into the same harness unchanged.
@@ -134,29 +134,7 @@ class NaiveIndex:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    # -- mutation (same signatures as GridIndex) -----------------------
-    def move(self, i: int, x: float, y: float) -> bool:
-        if not 0 <= i < len(self):
-            raise IndexError(f"node id {i} out of range [0, {len(self)})")
-        cs = self.cell_size
-        old_cell = np.floor(self.positions[i] / cs)
-        self.positions[i] = (x, y)
-        new_cell = np.floor(self.positions[i] / cs)
-        return bool(np.any(old_cell != new_cell))
-
-    def update_positions(
-        self, changed_ids: np.ndarray, new_positions: np.ndarray
-    ) -> int:
-        ids = np.asarray(changed_ids, dtype=np.int64)
-        if ids.size == 0:
-            return 0
-        new_positions = np.asarray(new_positions, dtype=np.float64)
-        cs = self.cell_size
-        old_cells = np.floor(self.positions[ids] / cs)
-        self.positions[ids] = new_positions
-        new_cells = np.floor(new_positions / cs)
-        return int(np.count_nonzero(np.any(old_cells != new_cells, axis=1)))
-
+    # -- mutation (same signature as GridIndex) ------------------------
     def adopt_positions(
         self, new_positions: np.ndarray, max_crossed: int | None = None
     ) -> int:
@@ -252,10 +230,14 @@ def run_differential(
     batch_fraction: float = 0.3,
 ) -> tuple[GridIndex, NaiveIndex]:
     """Drive incremental ``GridIndex`` vs ``NaiveIndex`` through a
-    randomized interleaving of moves, batch updates, and queries.
+    randomized interleaving of position adoptions and queries.
 
-    Every mutation is applied to both implementations; every query —
-    plus, on a sampled subset of steps, a query against a third
+    Every mutation is one ``adopt_positions`` call — the index's only
+    write path — on a copy of the current positions with one row or a
+    random batch of rows moved, applied to both implementations; about
+    half of them pass a ``max_crossed`` cap that may refuse the update
+    (both must then return ``-1`` and keep their old positions).  Every
+    query — plus, on a sampled subset of steps, a query against a third
     from-scratch ``GridIndex`` rebuilt at the current positions — must
     agree across all of them.  Returns the two long-lived indices so
     callers can run extra end-state assertions.
@@ -267,16 +249,19 @@ def run_differential(
     for step in range(steps):
         ctx = f"(step {step})"
         op = rng.integers(0, 6)
-        if op == 0 and n:  # single move
-            i = int(rng.integers(0, n))
-            x, y = rng.uniform(lo, hi, size=2)
-            assert grid.move(i, x, y) == naive.move(i, x, y), ctx
-        elif op == 1 and n:  # batch update
-            k = int(rng.integers(1, max(2, int(n * batch_fraction)) + 1))
-            ids = rng.choice(n, size=min(k, n), replace=False)
-            new_pos = rng.uniform(lo, hi, size=(ids.size, 2))
-            assert grid.update_positions(ids, new_pos) == (
-                naive.update_positions(ids, new_pos)
+        if op in (0, 1) and n:  # single-row or batch adoption
+            if op == 0:
+                ids = rng.integers(0, n, size=1)
+            else:
+                k = int(rng.integers(1, max(2, int(n * batch_fraction)) + 1))
+                ids = rng.choice(n, size=min(k, n), replace=False)
+            new_pos = naive.positions.copy()
+            new_pos[ids] = rng.uniform(lo, hi, size=(ids.size, 2))
+            cap = None
+            if rng.random() < 0.5:
+                cap = int(rng.integers(0, ids.size + 1))
+            assert grid.adopt_positions(new_pos.copy(), cap) == (
+                naive.adopt_positions(new_pos, cap)
             ), ctx
         elif op == 2:
             x, y = rng.uniform(lo - 100, hi + 100, size=2)

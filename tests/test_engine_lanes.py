@@ -7,8 +7,9 @@ fan-out scheduled as individual delivery records.  This suite pins that
 claim two ways:
 
 * deterministic ordering tests — ``run(until)`` semantics, ``stop()``
-  between records of a batch, ``pending()`` accounting mid-batch,
-  cancellation during a batch, and ``step()`` granularity;
+  between records of a batch (the unfired tail is requeued under its
+  reserved sequence numbers), ``pending()`` accounting mid-batch, and
+  cancellation during a batch;
 * batch-vs-individual differential tests — a broadcast fan-out
   scheduled as one batch record must be indistinguishable from the
   same fan-out scheduled as individual delivery records, including
@@ -147,19 +148,6 @@ class TestBatchRecords:
         assert ("doomed", 1.5) not in log
         assert [e[1] for e in log if e[0] == "deliver"] == ["s0", "s1"]
         assert eng.pending() == 0
-
-    def test_step_granularity_is_one_record(self):
-        eng = Engine()
-        log: list = []
-        sinks = [_Sink(eng, log, f"s{i}") for i in range(3)]
-        eng.schedule_deliver_batch(1.0, sinks, list("abc"))
-        assert eng.step() is True
-        assert len(log) == 1 and eng.pending() == 2
-        assert eng.step() is True
-        assert eng.step() is True
-        assert eng.step() is False
-        assert [e[1] for e in log] == ["s0", "s1", "s2"]
-        assert eng.events_processed == 3
 
     def test_run_until_excludes_future_batch(self):
         eng = Engine()

@@ -1,11 +1,11 @@
 """Differential tests: incremental GridIndex vs rebuild vs NaiveIndex.
 
-The incremental maintenance API (``move`` / ``update_positions``) must
-leave the index *result-identical* to a from-scratch ``GridIndex`` at
-the same positions and to the brute-force ``NaiveIndex`` oracle, for
-every query method, after arbitrarily long interleaved move/query
-schedules — including boundary-straddling moves, out-of-field
-coordinates, and duplicate positions.
+The index's one write path, ``adopt_positions``, must leave it
+*result-identical* to a from-scratch ``GridIndex`` at the same
+positions and to the brute-force ``NaiveIndex`` oracle, for every query
+method, after arbitrarily long interleaved adopt/query schedules —
+including boundary-straddling updates, out-of-field coordinates,
+duplicate positions, and refused (``max_crossed``) updates.
 """
 
 from __future__ import annotations
@@ -40,114 +40,6 @@ def _agree_everywhere(grid: GridIndex, naive: NaiveIndex, rng, probes=20):
         assert_same_answers(trio, "query_radius", x, y, r)
         assert_same_answers(trio, "query_rect", x - r, y - r, x + r, y + r)
         assert_same_answers(trio, "nearest", x, y, None)
-
-
-class TestMove:
-    def test_move_within_cell_does_not_rebucket(self):
-        pos = np.array([[10.0, 10.0], [300.0, 300.0]])
-        idx = GridIndex(pos.copy(), 250.0)
-        assert idx.move(0, 40.0, 40.0) is False
-        assert idx.query_radius(40.0, 40.0, 1.0).tolist() == [0]
-        # The old coordinate no longer matches.
-        assert idx.query_radius(10.0, 10.0, 1.0).size == 0
-
-    def test_move_across_cell_rebuckets(self):
-        pos = np.array([[10.0, 10.0], [300.0, 300.0]])
-        idx = GridIndex(pos.copy(), 250.0)
-        assert idx.move(0, 600.0, 600.0) is True
-        assert idx.nearest(610.0, 610.0) == 0
-        assert idx.query_rect(0.0, 0.0, 250.0, 250.0).size == 0
-
-    def test_move_onto_duplicate_position(self):
-        pos = np.array([[10.0, 10.0], [300.0, 300.0], [500.0, 500.0]])
-        idx = GridIndex(pos.copy(), 250.0)
-        idx.move(0, 300.0, 300.0)  # exact duplicate of node 1
-        hits = idx.query_radius(300.0, 300.0, 0.0)
-        assert hits.tolist() == [0, 1]
-        # Ties break to the smallest index, like a full argmin.
-        assert idx.nearest(300.0, 300.0) == 0
-
-    def test_move_out_of_field_negative_cells(self):
-        pos = np.array([[10.0, 10.0], [300.0, 300.0]])
-        idx = GridIndex(pos.copy(), 250.0)
-        idx.move(0, -900.0, -1.0)  # far outside the original bounds
-        assert idx.nearest(-900.0, 0.0) == 0
-        assert idx.query_radius(-900.0, -1.0, 5.0).tolist() == [0]
-        # nearest from the far side must still expand rings that reach
-        # the grown bounding box.
-        assert idx.nearest(300.0, 300.0, exclude=1) == 0
-
-    def test_move_boundary_straddle_exact_edge(self):
-        # x = cell_size sits exactly on the boundary: floor(250/250)=1,
-        # so the node belongs to cell 1 and a move from 249.999 to
-        # 250.0 must rebucket.
-        idx = GridIndex(np.array([[249.999, 0.0]]), 250.0)
-        assert idx.move(0, 250.0, 0.0) is True
-        assert idx.query_rect(250.0, 0.0, 500.0, 250.0).tolist() == [0]
-        assert idx.move(0, 249.999, 0.0) is True
-
-    def test_move_out_of_range_raises(self):
-        idx = GridIndex(np.zeros((3, 2)), 10.0)
-        with pytest.raises(IndexError):
-            idx.move(3, 0.0, 0.0)
-        with pytest.raises(IndexError):
-            idx.move(-1, 0.0, 0.0)
-
-    def test_move_empties_and_recreates_buckets(self):
-        # Single node ping-ponging between two cells: its old bucket
-        # must disappear (not linger empty) and reappear on return.
-        idx = GridIndex(np.array([[10.0, 10.0]]), 100.0)
-        for _ in range(5):
-            idx.move(0, 910.0, 910.0)
-            assert idx.query_radius(10.0, 10.0, 50.0).size == 0
-            assert idx.query_radius(910.0, 910.0, 50.0).tolist() == [0]
-            idx.move(0, 10.0, 10.0)
-            assert idx.query_radius(910.0, 910.0, 50.0).size == 0
-            assert idx.query_radius(10.0, 10.0, 50.0).tolist() == [0]
-
-
-class TestUpdatePositions:
-    def test_batch_matches_scalar_moves(self):
-        rng = np.random.default_rng(1)
-        pos = rng.uniform(0, 1000, size=(50, 2))
-        batch = GridIndex(pos.copy(), 100.0)
-        scalar = GridIndex(pos.copy(), 100.0)
-        ids = np.array([3, 17, 30, 49])
-        new_pos = rng.uniform(-200, 1200, size=(4, 2))
-        crossed = batch.update_positions(ids, new_pos)
-        scalar_crossed = sum(
-            scalar.move(int(i), *new_pos[k]) for k, i in enumerate(ids)
-        )
-        assert crossed == scalar_crossed
-        np.testing.assert_array_equal(batch.positions, scalar.positions)
-        _agree_everywhere(batch, NaiveIndex(batch.positions, 100.0), rng)
-
-    def test_empty_update_is_noop(self):
-        pos = np.random.default_rng(2).uniform(0, 500, size=(20, 2))
-        idx = GridIndex(pos.copy(), 100.0)
-        assert idx.update_positions(np.empty(0, dtype=np.int64), np.empty((0, 2))) == 0
-        np.testing.assert_array_equal(idx.positions, pos)
-
-    def test_shape_mismatch_raises(self):
-        idx = GridIndex(np.zeros((5, 2)), 10.0)
-        with pytest.raises(ValueError):
-            idx.update_positions(np.array([0, 1]), np.zeros((3, 2)))
-
-    def test_out_of_range_ids_raise(self):
-        idx = GridIndex(np.zeros((5, 2)), 10.0)
-        with pytest.raises(IndexError):
-            idx.update_positions(np.array([0, 5]), np.zeros((2, 2)))
-
-    def test_all_nodes_to_same_cell(self):
-        # Adversarial pile-up: every node lands on one duplicate point.
-        rng = np.random.default_rng(3)
-        pos = rng.uniform(0, 1000, size=(40, 2))
-        idx = GridIndex(pos.copy(), 250.0)
-        ids = np.arange(40)
-        idx.update_positions(ids, np.full((40, 2), 123.456))
-        assert idx.query_radius(123.456, 123.456, 0.0).tolist() == list(range(40))
-        assert idx.nearest(0.0, 0.0) == 0
-        _agree_everywhere(idx, NaiveIndex(idx.positions, 250.0), rng)
 
 
 class TestAdoptPositions:
@@ -189,9 +81,85 @@ class TestAdoptPositions:
         assert grid.positions is buf
 
 
+def _adopt_row(grid: GridIndex, i: int, x: float, y: float) -> int:
+    """Adopt ``grid``'s positions with row ``i`` moved to ``(x, y)``."""
+    new_pos = grid.positions.copy()
+    new_pos[i] = (x, y)
+    return grid.adopt_positions(new_pos)
+
+
+class TestAdoptEdgeCases:
+    """Single-row adoptions at the index's awkward geometry."""
+
+    def test_adopt_within_cell_does_not_rebucket(self):
+        idx = GridIndex(np.array([[10.0, 10.0], [300.0, 300.0]]), 250.0)
+        assert _adopt_row(idx, 0, 40.0, 40.0) == 0
+        assert idx.query_radius(40.0, 40.0, 1.0).tolist() == [0]
+        # The old coordinate no longer matches.
+        assert idx.query_radius(10.0, 10.0, 1.0).size == 0
+
+    def test_adopt_across_cell_rebuckets(self):
+        idx = GridIndex(np.array([[10.0, 10.0], [300.0, 300.0]]), 250.0)
+        assert _adopt_row(idx, 0, 600.0, 600.0) == 1
+        assert idx.nearest(610.0, 610.0) == 0
+        assert idx.query_rect(0.0, 0.0, 250.0, 250.0).size == 0
+
+    def test_adopt_onto_duplicate_position(self):
+        pos = np.array([[10.0, 10.0], [300.0, 300.0], [500.0, 500.0]])
+        idx = GridIndex(pos, 250.0)
+        _adopt_row(idx, 0, 300.0, 300.0)  # exact duplicate of node 1
+        assert idx.query_radius(300.0, 300.0, 0.0).tolist() == [0, 1]
+        # Ties break to the smallest index, like a full argmin.
+        assert idx.nearest(300.0, 300.0) == 0
+        assert idx.nearest(300.0, 300.0, exclude=0) == 1
+
+    def test_adopt_out_of_field_negative_cells(self):
+        idx = GridIndex(np.array([[10.0, 10.0], [300.0, 300.0]]), 250.0)
+        _adopt_row(idx, 0, -900.0, -1.0)  # far outside the original cells
+        assert idx.nearest(-900.0, 0.0) == 0
+        assert idx.query_radius(-900.0, -1.0, 5.0).tolist() == [0]
+        assert idx.query_rect(-1000.0, -250.0, -800.0, 0.0).tolist() == [0]
+        assert idx.nearest(300.0, 300.0, exclude=1) == 0
+
+    def test_adopt_boundary_straddle_exact_edge(self):
+        # x = cell_size sits exactly on the boundary: floor(250/250)=1,
+        # so the node belongs to cell 1 and an update from 249.999 to
+        # 250.0 must rebucket.
+        idx = GridIndex(np.array([[249.999, 0.0]]), 250.0)
+        assert _adopt_row(idx, 0, 250.0, 0.0) == 1
+        assert idx.query_rect(250.0, 0.0, 500.0, 250.0).tolist() == [0]
+        assert idx.query_rect(0.0, 0.0, 250.0, 250.0).size == 0
+        assert _adopt_row(idx, 0, 249.999, 0.0) == 1
+        assert idx.query_rect(0.0, 0.0, 250.0, 250.0).tolist() == [0]
+
+    def test_adopt_empties_and_recreates_buckets(self):
+        # Single node ping-ponging between two cells: its old bucket
+        # must disappear (not linger empty) and reappear on return.
+        idx = GridIndex(np.array([[10.0, 10.0]]), 100.0)
+        for _ in range(5):
+            assert _adopt_row(idx, 0, 910.0, 910.0) == 1
+            assert list(idx._buckets) == [(9, 9)]
+            assert idx.query_radius(10.0, 10.0, 50.0).size == 0
+            assert idx.query_radius(910.0, 910.0, 50.0).tolist() == [0]
+            assert _adopt_row(idx, 0, 10.0, 10.0) == 1
+            assert list(idx._buckets) == [(0, 0)]
+            assert idx.query_radius(910.0, 910.0, 50.0).size == 0
+            assert idx.query_radius(10.0, 10.0, 50.0).tolist() == [0]
+
+    def test_all_nodes_to_same_cell(self):
+        # Adversarial pile-up: every node lands on one duplicate point.
+        rng = np.random.default_rng(3)
+        pos = rng.uniform(0, 1000, size=(40, 2))
+        idx = GridIndex(pos.copy(), 250.0)
+        idx.adopt_positions(np.full((40, 2), 123.456))
+        assert idx.query_radius(123.456, 123.456, 0.0).tolist() == list(range(40))
+        assert idx.nearest(0.0, 0.0) == 0
+        _agree_everywhere(idx, NaiveIndex(idx.positions, 250.0), rng)
+
+
 class TestRandomizedDifferential:
     def test_long_interleaved_schedule(self):
-        """Acceptance: ≥1000 interleaved move/query steps, all three
+        """Acceptance: ≥1000 interleaved adopt/query steps, all three
         implementations result-identical throughout."""
         rng = np.random.default_rng(2024)
         pos = rng.uniform(0, 1000, size=(120, 2))
@@ -203,17 +171,22 @@ class TestRandomizedDifferential:
         # cell size), the worst case for floor()-based rebucketing.
         rng = np.random.default_rng(7)
         cs = 50.0
-        base = rng.integers(-3, 4, size=(60, 2)).astype(np.float64) * cs
-        pos = base + rng.choice([-1e-9, 0.0, 1e-9], size=(60, 2))
+
+        def on_boundaries(size):
+            return rng.integers(-3, 4, size=size).astype(
+                np.float64
+            ) * cs + rng.choice([-1e-9, 0.0, 1e-9], size=size)
+
+        pos = on_boundaries((60, 2))
         grid = GridIndex(pos.copy(), cs)
         naive = NaiveIndex(pos, cs)
         for step in range(400):
-            i = int(rng.integers(0, 60))
-            x, y = (
-                rng.integers(-3, 4, size=2).astype(np.float64) * cs
-                + rng.choice([-1e-9, 0.0, 1e-9], size=2)
-            )
-            assert grid.move(i, x, y) == naive.move(i, x, y), f"step {step}"
+            new_pos = naive.positions.copy()
+            ids = rng.choice(60, size=int(rng.integers(1, 4)), replace=False)
+            new_pos[ids] = on_boundaries((ids.size, 2))
+            assert grid.adopt_positions(new_pos.copy()) == (
+                naive.adopt_positions(new_pos)
+            ), f"step {step}"
             if step % 20 == 0:
                 _agree_everywhere(grid, naive, rng, probes=3)
         _agree_everywhere(grid, naive, rng)
@@ -236,8 +209,8 @@ class TestRandomizedDifferential:
     @settings(max_examples=15 * _BUDGET, deadline=None)
     @given(st.integers(0, 10_000))
     def test_differential_large_population_bucket_paths(self, seed):
-        # Above _SMALL_N the bucketed rect/ring-nearest paths run; the
-        # incremental index must stay identical there too.
+        # Above _SMALL_N the bucketed rect path runs; the incremental
+        # index must stay identical there too.
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0, 2000, size=(600, 2))
         grid, naive = run_differential(

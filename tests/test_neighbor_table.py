@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.crypto.keys import PublicKey
@@ -120,3 +121,48 @@ class TestSortedCache:
         assert t.purge(now=10.0) == 1
         assert t._sorted is None
         assert [e.link_address for e in t.live_entries(now=10.0)] == [1]
+
+
+class TestIngestShared:
+    """Queued hello-round slices store exactly what ``bulk_update`` does."""
+
+    @pytest.mark.parametrize("shared_addrs", [True, False])
+    @pytest.mark.parametrize(
+        "n_rounds",
+        [3, NeighborTable._DEDUP_MIN + 3, NeighborTable._PENDING_MAX + 5],
+    )
+    def test_matches_bulk_update(self, n_rounds, shared_addrs):
+        # ``shared_addrs`` keeps one address list object across rounds,
+        # as the hello round does while the active set is unchanged —
+        # the precondition of the cross-round dedup merge; otherwise
+        # every slice is applied in arrival order.
+        rng = np.random.default_rng(n_rounds)
+        tx_list = [3, 8, 11, 20, 27, 31]
+        lazy = NeighborTable(ttl=100.0)
+        eager = NeighborTable(ttl=100.0)
+        for r in range(n_rounds):
+            addrs = tx_list if shared_addrs else list(tx_list)
+            entries = [
+                entry(addr=a, t=float(r), pos=Point(a, r)) for a in addrs
+            ]
+            # Every third slice, the last included, holds a single row.
+            if (n_rounds - 1 - r) % 3 == 0:
+                k = 1
+            else:
+                k = int(rng.integers(2, len(addrs) + 1))
+            rows = np.sort(rng.choice(len(addrs), size=k, replace=False))
+            # Pad the slice so ``lo``/``hi`` index into a larger shared
+            # pair array, as one receiver's run of a round's pairs does.
+            idx = np.concatenate(([0], rows, [len(addrs) - 1])).astype(
+                np.uint16
+            )
+            lazy.ingest_shared(entries, idx, 1, 1 + k, addrs)
+            eager.bulk_update([entries[t] for t in rows.tolist()])
+        if n_rounds < NeighborTable._PENDING_MAX:
+            assert len(lazy._pending) == n_rounds
+            assert lazy._entries == {}
+        got = lazy.live_entries(now=float(n_rounds))
+        want = eager.live_entries(now=float(n_rounds))
+        assert len(got) == len(want) == len(lazy)
+        assert all(g is w for g, w in zip(got, want))
+        assert lazy._pending == []

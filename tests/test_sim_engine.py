@@ -118,17 +118,6 @@ class TestRunControl:
         eng.run()
         assert hits == ["first", "second"]
 
-    def test_step_returns_false_when_empty(self):
-        assert Engine().step() is False
-
-    def test_step_processes_one(self):
-        eng = Engine()
-        hits = []
-        eng.schedule_at(1.0, lambda: hits.append(1))
-        eng.schedule_at(2.0, lambda: hits.append(2))
-        assert eng.step() is True
-        assert hits == [1]
-
     def test_events_processed_counter(self):
         eng = Engine()
         for i in range(7):
@@ -240,14 +229,6 @@ class TestDeliveryRecords:
         assert log == [("n", "pkt")]
         assert eng.events_processed == 1
         assert eng.event_counts == {"data": 1}
-
-    def test_step_processes_record(self):
-        eng = Engine()
-        log = []
-        eng.schedule_deliver(1.0, _StubNode(log), "pkt")
-        assert eng.step() is True
-        assert log == [("n", "pkt")]
-        assert eng.now == 1.0
 
     def test_past_and_non_finite_times_raise(self):
         eng = Engine()

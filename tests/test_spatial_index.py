@@ -226,6 +226,8 @@ class TestPropertyVsBruteForce:
             assert set(got.tolist()) == brute_rect(pos, x0, y0, x0 + w, y0 + h)
 
     def test_nearest_large_population_ring_path(self):
+        # Named for the deleted bucket search; still pins ``nearest``
+        # above the rect-query cutover.
         rng = np.random.default_rng(22)
         pos = rng.uniform(0, 2000, size=(900, 2))
         idx = GridIndex(pos, 100.0)
@@ -237,8 +239,8 @@ class TestPropertyVsBruteForce:
             )
 
     def test_nearest_large_sparse_clusters(self):
-        # Two far-apart clusters force the ring search to expand many
-        # empty rings before terminating.
+        # Two far-apart clusters with a wide empty gap between them:
+        # the nearest node can be many cells away from the query.
         rng = np.random.default_rng(23)
         a = rng.uniform(0, 50, size=(300, 2))
         b = rng.uniform(5000, 5050, size=(300, 2))
@@ -249,9 +251,9 @@ class TestPropertyVsBruteForce:
 
 class TestNearestCrossover:
     """``nearest`` exclude-handling on both sides of the ``_SMALL_N``
-    cutover: N == _SMALL_N runs the vectorised full argmin, N ==
-    _SMALL_N + 1 the expanding-ring bucket search.  Identical point
-    sets (plus one far-away extra) must give identical answers."""
+    rect-query cutover (N == _SMALL_N and N == _SMALL_N + 1; ``nearest``
+    itself is one argmin scan at every N).  Identical point sets (plus
+    one far-away extra) must give identical answers."""
 
     @staticmethod
     def _point_sets(seed):
@@ -265,24 +267,24 @@ class TestNearestCrossover:
     def test_both_paths_agree_with_exclude(self):
         rng, small, large = self._point_sets(31)
         scan = GridIndex(small, 100.0)
-        ring = GridIndex(large, 100.0)
+        big = GridIndex(large, 100.0)
         for _ in range(50):
             x, y = rng.uniform(-100, 2100, size=2)
             exclude = int(rng.integers(0, _SMALL_N))
             want = brute_nearest(small, x, y, exclude=exclude)
             assert scan.nearest(x, y, exclude=exclude) == want
-            assert ring.nearest(x, y, exclude=exclude) == want
+            assert big.nearest(x, y, exclude=exclude) == want
 
     def test_excluding_the_unique_nearest_on_both_paths(self):
         rng, small, large = self._point_sets(32)
         scan = GridIndex(small, 100.0)
-        ring = GridIndex(large, 100.0)
+        big = GridIndex(large, 100.0)
         for _ in range(25):
             x, y = rng.uniform(0, 2000, size=2)
             first = brute_nearest(small, x, y)
             want = brute_nearest(small, x, y, exclude=first)
             assert scan.nearest(x, y, exclude=first) == want
-            assert ring.nearest(x, y, exclude=first) == want
+            assert big.nearest(x, y, exclude=first) == want
 
     def test_duplicate_positions_tie_break_both_paths(self):
         rng, small, large = self._point_sets(33)
@@ -290,20 +292,20 @@ class TestNearestCrossover:
         for pos in (small, large):
             pos[11] = pos[7]
         scan = GridIndex(small.copy(), 100.0)
-        ring = GridIndex(large.copy(), 100.0)
+        big = GridIndex(large.copy(), 100.0)
         x, y = small[7]
-        assert scan.nearest(x, y) == ring.nearest(x, y) == 7
+        assert scan.nearest(x, y) == big.nearest(x, y) == 7
         assert scan.nearest(x, y, exclude=7) == 11
-        assert ring.nearest(x, y, exclude=7) == 11
+        assert big.nearest(x, y, exclude=7) == 11
 
     def test_out_of_range_exclude_ignored_on_both_paths(self):
         _, small, large = self._point_sets(34)
         scan = GridIndex(small, 100.0)
-        ring = GridIndex(large, 100.0)
+        big = GridIndex(large, 100.0)
         for exclude in (-1, _SMALL_N + 5, 10_000):
             want = brute_nearest(small, 500.0, 500.0)
             assert scan.nearest(500.0, 500.0, exclude=exclude) == want
-            assert ring.nearest(500.0, 500.0, exclude=exclude) == want
+            assert big.nearest(500.0, 500.0, exclude=exclude) == want
 
 
 class TestAdversarialCollidingCells:
