@@ -143,6 +143,12 @@ class NotifyAndGo:
         public-key decryption attempt per receiver, then the packet
         dies.
         """
-        self.cost.pubkey_decrypt()
-        self.metrics.note("cover_rx_decrypt_attempts")
+        # cost.pubkey_decrypt() and metrics.note(), inlined: every
+        # receiver of every cover broadcast runs this.
+        charges = self.cost.charges
+        charges["pubkey_decrypt"] = charges.get("pubkey_decrypt", 0) + 1
+        counters = self.metrics.counters
+        counters["cover_rx_decrypt_attempts"] = (
+            counters.get("cover_rx_decrypt_attempts", 0.0) + 1.0
+        )
         # The decrypt fails (wrong key) or yields TTL=0 — drop either way.

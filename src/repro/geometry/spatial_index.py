@@ -242,9 +242,10 @@ class GridIndex:
         cand = self._candidates(x, y, radius)
         if cand.size == 0:
             return cand
-        d = self.positions[cand] - np.array([x, y])
-        mask = (d * d).sum(axis=1) <= radius * radius
-        out = cand[mask]
+        p = self.positions[cand]
+        dx = p[:, 0] - x
+        dy = p[:, 1] - y
+        out = cand[dx * dx + dy * dy <= radius * radius]
         out.sort()
         return out
 

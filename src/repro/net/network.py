@@ -263,12 +263,16 @@ class Network:
         return self._active_mask
 
     def neighbors_of(self, node_id: int) -> list[int]:
-        """Oracle: live node ids within radio range now (excl. self)."""
+        """Live node ids within radio range now, excluding ``node_id``.
+
+        The receiver set of every one-hop broadcast: plain ``int`` ids
+        in ascending order.
+        """
         _, index = self.snapshot()
         p = self.position_of(node_id)
         hits = index.query_radius(p.x, p.y, self.radio.range_m)
         live = hits[self.active_mask()[hits]]
-        return [int(i) for i in live if i != node_id]
+        return live[live != node_id].tolist()
 
     def nodes_in_rect(self, rect: Rect) -> list[int]:
         """Oracle: node ids currently inside ``rect`` (half-open)."""

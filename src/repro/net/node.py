@@ -122,7 +122,11 @@ class Node:
     def deliver(self, packet: "Packet") -> None:
         """Link-layer delivery: count it and invoke the protocol hook."""
         self.rx_count += 1
-        packet.record_visit(self.id)
+        # Packet.record_visit, inlined: every broadcast receiver runs it.
+        trace = packet.trace
+        nid = self.id
+        if not trace or trace[-1] != nid:
+            trace.append(nid)
         if self.on_receive is not None:
             self.on_receive(self, packet)
 

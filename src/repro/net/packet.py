@@ -11,22 +11,32 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any
 
 _packet_ids = itertools.count(1)
 
 
+#: Header types a branch shares instead of copying.  Exact ``bytes``
+#: (e.g. a cover's TTL ciphertext) is immutable, so sharing it is
+#: indistinguishable from a copy.  Matched by exact type: subclasses
+#: such as :class:`~repro.crypto.cipher.ShadowCiphertext` carry a
+#: mutable attribute and are copied.
+_SHARED_HEADER_TYPES = frozenset((bytes, type(None)))
+
+
 def clone_header(header: Any) -> Any:
     """Copy a protocol header for an independent packet branch.
 
-    Headers that define a ``clone()`` method use it (cheap and
-    type-aware — see e.g. :meth:`repro.core.packet_format.AlertHeader.
-    clone`); anything else is deep-copied.  ``None`` passes through.
+    The one header rule of :meth:`Packet.fork`: exact ``bytes`` are
+    shared and ``None`` passes through; headers that define a
+    ``clone()`` method use it (cheap and type-aware — see e.g.
+    :meth:`repro.core.packet_format.AlertHeader.clone`); anything else,
+    ``ShadowCiphertext`` included, is deep-copied.
     """
-    if header is None:
-        return None
+    if type(header) in _SHARED_HEADER_TYPES:
+        return header
     clone = getattr(header, "clone", None)
     if callable(clone):
         return clone()
@@ -98,23 +108,41 @@ class Packet:
         The copy starts with the parent's trace (so path accounting
         stays meaningful for multicast deliveries) but gets its own
         list object, its own uid, and — unless ``header=`` is passed
-        explicitly — its **own header copy** (:func:`clone_header`).
-        Broadcast receivers mutate per-hop routing state in the header
-        (retry counters, TTLs, zone stages); sharing one header object
-        across branches would let one receiver corrupt its siblings.
+        explicitly — its **own header copy** under the rule of
+        :func:`clone_header`.  Broadcast receivers mutate per-hop
+        routing state in the header (retry counters, TTLs, zone
+        stages); sharing one mutable header object across branches
+        would let one receiver corrupt its siblings.
+
+        ``overrides`` replace dataclass fields of the copy; ``uid`` and
+        ``trace`` are fork's own and any other name is rejected, both
+        with :class:`TypeError`.
         """
-        clone = object.__new__(Packet)
-        d = clone.__dict__
-        d.update(self.__dict__)
+        d = self.__dict__.copy()
         if overrides:
+            _check_overrides(overrides)
             d.update(overrides)
         if "header" not in overrides:
-            # clone_header, inlined: fan-out runs this per receiver.
-            h = self.header
-            if h is not None:
-                method = getattr(h, "clone", None)
-                h = method() if method is not None else copy.deepcopy(h)
-            d["header"] = h
+            h = d["header"]
+            if type(h) not in _SHARED_HEADER_TYPES:
+                d["header"] = clone_header(h)
         d["uid"] = next(_packet_ids)
-        d["trace"] = list(self.trace)
+        d["trace"] = self.trace[:]
+        clone = object.__new__(Packet)
+        clone.__dict__ = d
         return clone
+
+
+#: Fields ``fork`` assigns itself, which overrides may not set.
+_FORK_OWNED = frozenset(("uid", "trace"))
+_PACKET_FIELDS = frozenset(f.name for f in fields(Packet))
+
+
+def _check_overrides(overrides: dict[str, Any]) -> None:
+    for name in overrides:
+        if name in _FORK_OWNED:
+            raise TypeError(
+                f"Packet.fork() assigns {name!r} itself; it cannot be overridden"
+            )
+        if name not in _PACKET_FIELDS:
+            raise TypeError(f"Packet.fork() got an unknown field {name!r}")

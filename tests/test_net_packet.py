@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import pytest
+
 from repro.core.packet_format import (
     AlertHeader,
     AlertPacketType,
     SegmentState,
 )
 from repro.core.zones import Direction
+from repro.crypto.cipher import ShadowCiphertext
 from repro.geometry.primitives import Rect
 from repro.net.packet import Packet, PacketKind, clone_header
 from repro.routing.zap import ZapHeader
@@ -67,6 +70,17 @@ class TestPacket:
         assert q.kind is PacketKind.NAK
         assert q.size_bytes == 64
         assert q.src == p.src
+
+    def test_fork_rejects_unknown_field(self):
+        p = make()
+        with pytest.raises(TypeError, match="'size'"):
+            p.fork(size=64)
+        assert not hasattr(p, "size")
+
+    @pytest.mark.parametrize("name", ["uid", "trace"])
+    def test_fork_rejects_owned_fields(self, name):
+        with pytest.raises(TypeError, match=repr(name)):
+            make().fork(**{name: 1})
 
     def test_kinds_enumerated(self):
         assert {k.value for k in PacketKind} == {
@@ -148,3 +162,31 @@ class TestForkHeaderIsolation:
 
         hdr = Marked()
         assert clone_header(hdr) == ("cloned", hdr)
+
+
+class TestHeaderRule:
+    """One rule for ``clone_header`` and ``fork``: exact bytes shared,
+    ``None`` passed through, ``clone()`` used, anything else deep-copied."""
+
+    def test_bytes_header_is_shared(self):
+        ttl = b"\x00" * 64
+        assert clone_header(ttl) is ttl
+        assert make(header=ttl).fork().header is ttl
+
+    def test_none_passes_through(self):
+        assert clone_header(None) is None
+
+    def test_shadow_ciphertext_is_copied(self):
+        hdr = ShadowCiphertext(64, b"\x00")
+        for copy_ in (clone_header(hdr), make(header=hdr).fork().header):
+            assert copy_ is not hdr
+            assert type(copy_) is ShadowCiphertext
+            assert copy_ == hdr
+            assert copy_.plaintext == hdr.plaintext
+
+    def test_mutable_header_siblings_independent(self):
+        p = make(header={"hops": [1, 2]})
+        a, b = p.fork(), p.fork()
+        a.header["hops"].append(3)
+        assert b.header == {"hops": [1, 2]}
+        assert p.header == {"hops": [1, 2]}

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from repro.geometry.field import Field
 from repro.geometry.primitives import Point
+from repro.geometry.spatial_index import GridIndex
 from repro.mobility.base import positions_at
 from repro.mobility.static import StaticPosition
 from repro.net.network import Network
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Engine
 from tests.conftest import build_network
-from tests.oracles import scalar_hello_round
+from tests.oracles import NaiveIndex, scalar_hello_round
 
 
 def data_packet(src=0, dst=1, size=512, flow=None):
@@ -77,6 +78,44 @@ class TestSnapshots:
         p = net.position_of(3)
         assert net.node_nearest_to(p) == 3
         assert net.node_nearest_to(p, exclude=3) != 3
+
+
+class TestReceiverSet:
+    """The receiver set every one-hop broadcast fans out to."""
+
+    def test_neighbors_of_contract(self, static_network):
+        net = static_network
+        sender = 0
+        nbrs = net.neighbors_of(sender)
+        assert len(nbrs) >= 2, "test network too sparse"
+        victim = nbrs[len(nbrs) // 2]
+        net.nodes[victim].fail()
+        got = net.neighbors_of(sender)
+        assert all(type(i) is int for i in got)
+        assert got == sorted(got)
+        assert sender not in got and victim not in got
+        pos, _ = net.snapshot()
+        hits = NaiveIndex(pos).query_radius(*pos[sender], net.radio.range_m)
+        assert got == [
+            int(i) for i in hits if i != sender and net.nodes[i].active
+        ]
+
+    def test_query_radius_boundary_matches_naive(self):
+        """A point at exactly ``radius`` is in; one ULP beyond is out."""
+        cx, cy, r = 1000.0, 500.0, 250.0
+        angles = np.linspace(0.0, 2 * math.pi, 97)
+        ring = np.column_stack(
+            (cx + r * np.cos(angles), cy + r * np.sin(angles))
+        )
+        on = np.array([[cx + r, cy], [cx, cy - r]])
+        beyond = np.array(
+            [[np.nextafter(cx + r, np.inf), cy], [cx, np.nextafter(cy - r, -np.inf)]]
+        )
+        pos = np.vstack((on, beyond, ring))
+        got = GridIndex(pos, r).query_radius(cx, cy, r)
+        np.testing.assert_array_equal(got, NaiveIndex(pos).query_radius(cx, cy, r))
+        assert {0, 1} <= set(got.tolist())
+        assert not {2, 3} & set(got.tolist())
 
 
 class TestUnicast:

@@ -86,3 +86,38 @@ class TestNotifyAndGo:
         eta = metrics.counters.get("cover_tx", 0)
         # Exactly one broadcast per cover — no forwarding cascade.
         assert net.broadcast_tx - before_tx == eta
+
+    def test_cover_broadcast_fan_out(self):
+        """One real cover broadcast: each of η receivers pays exactly one
+        decrypt attempt and gets its own branch."""
+        net = build_network(static=True)
+        nag, metrics, cost = make_nag(net)
+        sender = 0
+        receivers = net.neighbors_of(sender)
+        eta = len(receivers)
+        assert eta >= 2, "test network too sparse"
+        branches = []
+
+        def on_receive(node, packet):
+            branches.append((node.id, packet))
+            nag.handle_cover(node, packet)
+
+        for node in net.nodes:
+            node.on_receive = on_receive
+        rx_before = [n.rx_count for n in net.nodes]
+        decrypts = cost.charges.get("pubkey_decrypt", 0)
+        attempts = metrics.counters.get("cover_rx_decrypt_attempts", 0)
+
+        nag._send_cover(sender)
+        net.engine.run(until=net.engine.now + 0.1)
+
+        assert cost.charges["pubkey_decrypt"] == decrypts + eta
+        assert metrics.counters["cover_rx_decrypt_attempts"] == attempts + eta
+        assert [n.rx_count - b for n, b in zip(net.nodes, rx_before)] == [
+            1 if i in receivers else 0 for i in range(net.n_nodes)
+        ]
+        assert sorted(rid for rid, _ in branches) == receivers
+        for rid, packet in branches:
+            assert packet.kind is PacketKind.COVER
+            assert packet.trace == [sender, rid]
+        assert len({p.uid for _, p in branches}) == eta
