@@ -16,9 +16,14 @@ Environment knobs:
 
 from __future__ import annotations
 
+import json
 import os
+import platform
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 
@@ -57,6 +62,33 @@ def us_per_event(events: int, wall_s: float) -> float:
     """Mean wall-clock microseconds per processed engine event."""
     rate = event_rate(events, wall_s)
     return 1e6 / rate if rate > 0 else float("nan")
+
+
+def merge_section(out_path: Path, key: str, section: dict) -> dict:
+    """Write ``section`` as the ``key`` section of the report at ``out_path``.
+
+    Each perf harness owns one section of ``BENCH_perf.json``
+    (``timings``, ``scale``, ``traffic``) and merges it into an existing
+    report, preserving the others; a missing file starts as a header
+    naming the host (the CI candidate path).  Returns the written report.
+    """
+    if out_path.exists():
+        report = json.loads(out_path.read_text())
+    else:
+        report = {
+            "schema": 1,
+            "generated_unix": time.time(),
+            "host": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "cpu_count": os.cpu_count(),
+                "machine": platform.machine(),
+            },
+        }
+    report[key] = section
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return report
 
 
 def sweep_progress(label: str, total: int):

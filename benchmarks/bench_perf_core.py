@@ -14,12 +14,15 @@ layers every figure regeneration bottlenecks on:
 6. the neighbor table's sorted-row cache at a dense topology,
 
 plus, optionally, a serial-vs-parallel sweep of one small figure.
-Set ``REPRO_PROFILE=1`` to additionally profile one ALERT run under
-cProfile (see ``benchmarks/bench_profile.py``).
+``benchmarks/bench_profile.py`` profiles one run under cProfile.
 
-Results are written machine-readable to ``BENCH_perf.json`` at the
+Results land in the ``timings`` section of ``BENCH_perf.json`` at the
 repository root so subsequent changes have a perf trajectory to
-defend.  Run it directly::
+defend.  The quick profile records the end-to-end run at 10 simulated
+seconds as ``alert_run_quick``; the full profile records it at 60 s as
+``alert_run`` and again at 10 s as ``alert_run_quick``, so the perf
+gate can compare a quick candidate with the committed full baseline by
+key.  Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_perf_core.py          # full
     PYTHONPATH=src python benchmarks/bench_perf_core.py --quick  # CI smoke
@@ -32,14 +35,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import time
 from pathlib import Path
 
 import numpy as np
 
-from _common import event_rate, us_per_event
+from _common import event_rate, merge_section, us_per_event
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
     Cell,
@@ -47,7 +48,6 @@ from repro.experiments.parallel import (
     worker_count,
 )
 from repro.crypto.keys import generate_keypair
-from repro.experiments.profiling import maybe_profile, profile_enabled
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweeps import metric_delivery_rate
 from repro.geometry.field import Field
@@ -215,9 +215,6 @@ def bench_alert_run(duration: float, reps: int = 3) -> dict[str, float]:
     counters of the real run are recorded alongside the timings so a
     perf change that silently alters the workload (rather than the
     per-event cost) is visible in the report diff.
-
-    With ``REPRO_PROFILE=1`` one extra (untimed) run is profiled and
-    its top-N cumulative table dumped to stderr.
     """
     cfg = ExperimentConfig(
         protocol="ALERT", n_nodes=200, duration=duration, n_pairs=10
@@ -259,10 +256,6 @@ def bench_alert_run(duration: float, reps: int = 3) -> dict[str, float]:
         "cost_only_mean_s": float(np.mean(cost_only)),
         "cost_only_min_s": float(np.min(cost_only)),
     }
-
-    with maybe_profile(label=f"alert_run n=200 duration={duration}s"):
-        if profile_enabled():
-            run_experiment(cfg)
     return out
 
 
@@ -343,57 +336,47 @@ def bench_sweep(workers: int, duration: float, runs: int) -> dict[str, float]:
 
 
 def run_harness(quick: bool = False, sweep: bool = True) -> dict:
-    """Execute every benchmark and assemble the report dict."""
+    """Execute every benchmark and assemble the ``timings`` section."""
     reps = 3 if quick else 10
     n_nodes = 200
-    report: dict = {
-        "schema": 1,
-        "generated_unix": time.time(),
+    run_key = "alert_run_quick" if quick else "alert_run"
+    timings: dict = {
         "quick": quick,
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-            "machine": platform.machine(),
-        },
-        "timings": {
-            # The end-to-end run goes first: it is the number the CI
-            # regression gate defends, and timing it in a fresh process
-            # (before the N=2000 benches blow up the allocator's
-            # footprint) keeps run-to-run jitter down.
-            # Six reps full / two quick: single runs are ~1 s and shared
-            # machines jitter ±25 %, so the mean needs samples to settle.
-            "alert_run": bench_alert_run(
-                10.0 if quick else 60.0, reps=2 if quick else 6
-            ),
-            "snapshot_build": bench_snapshot_build(n_nodes, reps),
-            # Acceptance target: incremental beats from-scratch at N=2000.
-            "snapshot_incremental": bench_snapshot_incremental(
-                2000, max(reps, 20)
-            ),
-            "radius_query": bench_radius_query(n_nodes, reps),
-            "hello_round": bench_hello_round(n_nodes, reps),
-            "neighbor_live_entries": bench_neighbor_live_entries(
-                n_nodes, max(reps, 5)
-            ),
-        },
+        # The end-to-end run goes first: it is the number the CI
+        # regression gate defends, and timing it in a fresh process
+        # (before the N=2000 benches blow up the allocator's
+        # footprint) keeps run-to-run jitter down.
+        # Six reps full / two quick: single runs are ~1 s and shared
+        # machines jitter ±25 %, so the mean needs samples to settle.
+        run_key: bench_alert_run(
+            10.0 if quick else 60.0, reps=2 if quick else 6
+        ),
+        "snapshot_build": bench_snapshot_build(n_nodes, reps),
+        # Acceptance target: incremental beats from-scratch at N=2000.
+        "snapshot_incremental": bench_snapshot_incremental(
+            2000, max(reps, 20)
+        ),
+        "radius_query": bench_radius_query(n_nodes, reps),
+        "hello_round": bench_hello_round(n_nodes, reps),
+        "neighbor_live_entries": bench_neighbor_live_entries(
+            n_nodes, max(reps, 5)
+        ),
     }
     if not quick:
-        # A quick-profile measurement alongside the full one: CI's
-        # regression gate compares its own quick run against this
-        # section (same simulated duration → same setup amortisation),
-        # falling back to per-event cost only for older baselines.
-        report["timings"]["alert_run_quick"] = bench_alert_run(10.0, reps=2)
+        # The quick profile's point, so a quick candidate has a
+        # baseline point at its own simulated duration (same setup
+        # amortisation).
+        timings["alert_run_quick"] = bench_alert_run(10.0, reps=2)
     if sweep:
         # The env-resolved (CPU-clamped) worker count: forcing a wide
         # pool onto a small host just measured contention (a 4-worker
         # pool on 1 CPU ran the sweep *slower* than serial).
-        report["timings"]["sweep"] = bench_sweep(
+        timings["sweep"] = bench_sweep(
             workers=worker_count(),
             duration=5.0 if quick else 20.0,
             runs=1 if quick else 2,
         )
-    return report
+    return timings
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -410,38 +393,35 @@ def main(argv: list[str] | None = None) -> int:
         "--out",
         type=Path,
         default=REPORT_PATH,
-        help=f"report path (default {REPORT_PATH})",
+        help=f"report path to merge into (default {REPORT_PATH})",
     )
     args = parser.parse_args(argv)
-    report = run_harness(quick=args.quick, sweep=not args.no_sweep)
-    if args.out.exists():
-        # Preserve sections owned by other harnesses (bench_scale.py's
-        # `scale`) instead of dropping them on a core-only rerun.
-        report = {**json.loads(args.out.read_text()), **report}
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(report["timings"], indent=2, sort_keys=True))
-    print(f"\nwrote {args.out}")
+    timings = run_harness(quick=args.quick, sweep=not args.no_sweep)
+    merge_section(args.out, "timings", timings)
+    print(json.dumps(timings, indent=2, sort_keys=True))
+    print(f"\nwrote timings section to {args.out}")
     return 0
 
 
 def test_perf_harness_smoke(tmp_path):
     """The harness runs end to end and produces a well-formed report."""
-    report = run_harness(quick=True, sweep=True)
-    for key in ("snapshot_build", "radius_query", "hello_round", "alert_run"):
-        assert report["timings"][key]["mean_s"] > 0.0
-    snap = report["timings"]["snapshot_incremental"]
+    timings = run_harness(quick=True, sweep=True)
+    for key in (
+        "snapshot_build", "radius_query", "hello_round", "alert_run_quick"
+    ):
+        assert timings[key]["mean_s"] > 0.0
+    snap = timings["snapshot_incremental"]
     assert snap["incremental_mean_s"] > 0.0
     assert snap["incremental_refreshes"] > 0  # the diff path really ran
-    run = report["timings"]["alert_run"]
+    run = timings["alert_run_quick"]
     # Per-category counters ship with the report, and cover every
     # processed event (nothing escapes categorisation).
     assert sum(run["event_counts"].values()) == run["events_processed"]
     assert run["cost_only_mean_s"] > 0.0
-    assert report["timings"]["neighbor_live_entries"]["speedup"] >= 1.5
-    assert report["timings"]["sweep"]["identical_results"]
+    assert timings["neighbor_live_entries"]["speedup"] >= 1.5
+    assert timings["sweep"]["identical_results"]
     out = tmp_path / "BENCH_perf.json"
-    out.write_text(json.dumps(report))
+    merge_section(out, "timings", timings)
     assert json.loads(out.read_text())["schema"] == 1
 
 

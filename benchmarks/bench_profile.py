@@ -11,11 +11,6 @@ cProfile and printing the top-N cumulative table, e.g.::
     PYTHONPATH=src python benchmarks/bench_profile.py \
         --dump /tmp/alert.pstats     # raw stats for snakeviz & friends
 
-Other drivers get the same instrumentation without a dedicated flag:
-any code wrapped in :func:`repro.experiments.profiling.maybe_profile`
-(the perf harness's ALERT run is) dumps the same table when
-``REPRO_PROFILE=1`` is set in the environment.
-
 cProfile inflates call-heavy helpers ~2x (fixed per-call cost), so the
 table is for *relative* attribution; absolute timings belong to the
 un-profiled harness (``benchmarks/bench_perf_core.py``).
@@ -25,13 +20,23 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import io
 import pstats
 import time
 from pathlib import Path
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.profiling import format_stats
 from repro.experiments.runner import run_experiment
+
+
+def format_stats(
+    prof: cProfile.Profile, top: int = 30, sort: str = "cumulative"
+) -> str:
+    """Render a profile as a top-``top`` table sorted by ``sort``."""
+    buf = io.StringIO()
+    stats = pstats.Stats(prof, stream=buf)
+    stats.strip_dirs().sort_stats(sort).print_stats(top)
+    return buf.getvalue()
 
 
 def profile_run(

@@ -23,8 +23,8 @@ default ``--out`` merges into an existing report).  Run it directly::
     PYTHONPATH=src python benchmarks/bench_scale.py --quick  # CI: N=1000, 3 reps
 
 or through pytest, which executes the quick profile and asserts the
-report is well-formed.  The CI perf gate compares the quick run's
-N=1000 point against the committed baseline's — same config, same
+report is well-formed.  The perf gate compares every recorded point
+with the committed baseline's point of the same N — same config, same
 duration, so loop times are directly comparable.  Each point records
 both the mean and the *minimum* loop time over its reps; the gate
 prefers the minimum, which is the standard least-interference
@@ -41,8 +41,6 @@ import argparse
 import gc
 import json
 import math
-import os
-import platform
 import subprocess
 import sys
 import time
@@ -50,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _common import event_rate, us_per_event
+from _common import event_rate, merge_section, us_per_event
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 
@@ -193,32 +191,6 @@ def run_scale(quick: bool = False, isolate: bool = True) -> dict:
     return section
 
 
-def merge_report(out_path: Path, section: dict) -> dict:
-    """Write ``section`` as the ``scale`` key of the report at ``out_path``.
-
-    Merges into an existing ``BENCH_perf.json`` (preserving the core
-    harness's ``timings``); creates a minimal standalone report when the
-    file does not exist (the CI candidate path).
-    """
-    if out_path.exists():
-        report = json.loads(out_path.read_text())
-    else:
-        report = {
-            "schema": 1,
-            "generated_unix": time.time(),
-            "host": {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "cpu_count": os.cpu_count(),
-                "machine": platform.machine(),
-            },
-        }
-    report["scale"] = section
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -253,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(bench_scale_point(args.point, reps)))
         return 0
     section = run_scale(quick=args.quick)
-    merge_report(args.out, section)
+    merge_section(args.out, "scale", section)
     print(f"\nwrote scale section to {args.out}")
     return 0
 
@@ -272,7 +244,7 @@ def test_scale_harness_smoke(tmp_path):
     )
     assert sum(point["event_counts"].values()) == point["events_processed"]
     out = tmp_path / "BENCH_perf.json"
-    report = merge_report(out, section)
+    report = merge_section(out, "scale", section)
     assert json.loads(out.read_text())["scale"] == report["scale"]
 
 

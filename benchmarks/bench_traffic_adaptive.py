@@ -17,9 +17,11 @@ to raise the delivery rate without starving throughput.
 
 Both runs are fully seeded, so every number in the report — goodput
 ratio, backoff count, offered load — is deterministic for a given
-simulated duration; the CI gate (``check_perf_regression.py
-check_traffic``) asserts the closed-loop invariants on these exact
-values rather than on machine-dependent wall time.
+simulated duration.  The perf gate (``check_perf_regression.py``)
+compares each recorded point — ``quick_point`` at 12 s, ``full_point``
+at 30 s — with the baseline point under the same key and duration, and
+asserts the closed-loop invariants on these exact values rather than
+on machine-dependent wall time.
 
 Results land in the ``traffic`` section of ``BENCH_perf.json``::
 
@@ -34,13 +36,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import time
 from pathlib import Path
 
-import numpy as np
-
+from _common import merge_section
 from repro.experiments.config import ExperimentConfig, TrafficConfig
 from repro.experiments.runner import run_experiment
 
@@ -149,32 +148,6 @@ def run_traffic(quick: bool = False) -> dict:
     return section
 
 
-def merge_report(out_path: Path, section: dict) -> dict:
-    """Write ``section`` as the ``traffic`` key of the report at ``out_path``.
-
-    Merges into an existing ``BENCH_perf.json`` (preserving ``timings``
-    and ``scale``); creates a minimal standalone report when the file
-    does not exist (the CI candidate path).
-    """
-    if out_path.exists():
-        report = json.loads(out_path.read_text())
-    else:
-        report = {
-            "schema": 1,
-            "generated_unix": time.time(),
-            "host": {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "cpu_count": os.cpu_count(),
-                "machine": platform.machine(),
-            },
-        }
-    report["traffic"] = section
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -188,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     section = run_traffic(quick=args.quick)
-    merge_report(args.out, section)
+    merge_section(args.out, "traffic", section)
     print(f"\nwrote traffic section to {args.out}")
     return 0
 
@@ -204,7 +177,7 @@ def test_traffic_harness_smoke(tmp_path):
     assert point["goodput_ratio"] >= 0.9
     assert point["adaptive"]["delivery_rate"] >= point["cbr"]["delivery_rate"]
     out = tmp_path / "BENCH_perf.json"
-    report = merge_report(out, section)
+    report = merge_section(out, "traffic", section)
     assert json.loads(out.read_text())["traffic"] == report["traffic"]
 
 

@@ -1,47 +1,41 @@
-"""CI gate: fail when ``alert_run`` regresses against the committed baseline.
+"""CI gate: fail when a perf report regresses against the committed baseline.
 
-Usage (what CI runs after the quick harness)::
+Usage (what CI runs after the quick harnesses)::
 
     PYTHONPATH=src python benchmarks/check_perf_regression.py \
-        --baseline BENCH_perf.json --candidate /tmp/BENCH_perf_ci.json \
-        --max-regression 0.25
+        --baseline BENCH_perf.json --candidate /tmp/BENCH_perf_ci.json
 
-The committed ``BENCH_perf.json`` is a *full* profile (60 simulated
-seconds) while CI runs the *quick* one (10 s), so raw means are not
-directly comparable — and neither is raw per-event cost, because the
-fixed per-run setup (network build, key generation, the first hello
-round) amortises over 6x fewer events in a quick run.  Full profiles
-therefore also record an ``alert_run_quick`` section measured at the
-quick duration; the gate picks the baseline section whose
-``sim_duration_s`` matches the candidate and compares **mean wall
-time** over that identical workload.  When no section matches, the
-gate fails and names the duration it looked for.
+Every gated number is a *point* of a report section, and ``GATES``
+lists them: one row per section with its point keys, the metric
+compared and which direction is better.  There is one matching rule:
+each point the candidate has is compared with the baseline point under
+the same key, and both must have been measured at the same
+``sim_duration_s`` — fixed per-run setup amortises differently over
+different durations, so only like-for-like points are comparable.  A
+section missing from either report, a candidate section with none of
+its row's points, a point missing from the baseline and a duration
+mismatch each fail with a message naming what is missing.  Points the
+candidate does not record are not gated: CI's quick run records
+``alert_run_quick``, ``n1000`` and ``quick_point`` only, while the
+committed full profile records all eight points.
 
-A second gate covers the ``scale`` section written by
-``benchmarks/bench_scale.py``: CI's ``--quick`` run records one N=1000
-point at the same config and duration as the committed baseline's, so
-loop times are directly comparable.  The gate compares ``loop_min_s``
-(minimum loop time over the point's reps — the least-interference
-estimator, stable where a mean of one or two draws swings with
-scheduler noise).
+* ``timings`` (``bench_perf_core.py``): mean wall time of the 200-node
+  ALERT run, at 10 s (``alert_run_quick``) and 60 s (``alert_run``).
+* ``scale`` (``bench_scale.py``): ``loop_min_s``, the minimum loop time
+  over a population's reps — the least-interference estimator, stable
+  where a mean of one or two draws swings with scheduler noise.
+* ``traffic`` (``bench_traffic_adaptive.py``): the seeded goodput ratio
+  of adaptive vs CBR sources.  Each traffic point must also satisfy the
+  closed-loop invariants: backoff events fired, adaptive offered load
+  below CBR's, goodput within 10 % of the CBR baseline.
 
-A third gate covers the ``traffic`` section written by
-``benchmarks/bench_traffic_adaptive.py``.  Unlike the other two it is
-deterministic (seeded simulation outputs, not wall time): it asserts
-the closed-loop traffic invariants — backoff events fired, adaptive
-offered load below CBR's, goodput within 10 % of the CBR baseline —
-and additionally bounds the goodput-ratio drop against a
-duration-matched baseline point when one exists.
-
-Every gate fails, naming the section, when a report lacks the section
-it reads.
-
-Caveats the threshold absorbs: CI runners are not the machine the
-baseline was recorded on, and a 200-node quick run is ~0.2 s of
-wall-clock, so the gate catches structural regressions (an optimisation
-reverted, an accidental O(n) in the event loop), not single-digit
-percentages.  Skip it on known-slower PRs with the ``skip-perf-gate``
-label (wired in ``.github/workflows/ci.yml``).
+A point fails when its metric is worse than the baseline's by more than
+``MAX_REGRESSION``.  Caveats the threshold absorbs: CI runners are not
+the machine the baseline was recorded on, and a 200-node quick run is
+~0.2 s of wall-clock, so the gate catches structural regressions (an
+optimisation reverted, an accidental O(n) in the event loop), not
+single-digit percentages.  Skip it on known-slower PRs with the
+``skip-perf-gate`` label (wired in ``.github/workflows/ci.yml``).
 """
 
 from __future__ import annotations
@@ -51,200 +45,215 @@ import json
 import sys
 from pathlib import Path
 
+#: Tolerated fractional change in the worse direction.
+MAX_REGRESSION = 0.25
 
-def check(
-    baseline: dict, candidate: dict, max_regression: float
-) -> tuple[bool, str]:
-    """Compare alert_run mean wall time against the baseline section
-    recorded at the candidate's simulated duration (identical
-    workload); returns (ok, human-readable summary)."""
-    run = candidate["timings"]["alert_run"]
-    duration = run.get("sim_duration_s")
-    for key in ("alert_run_quick", "alert_run"):
-        section = baseline["timings"].get(key)
-        if section is not None and section.get("sim_duration_s") == duration:
-            break
-    else:
-        return False, (
-            "alert_run: baseline has no alert_run_quick/alert_run section "
-            f"at sim_duration_s={duration}"
-        )
-    base, cand = section["mean_s"], run["mean_s"]
-    change = cand / base - 1.0
-    summary = (
-        f"alert_run [mean_s vs {key}]: baseline {base * 1e3:.3f} ms, "
-        f"candidate {cand * 1e3:.3f} ms ({change:+.1%}; "
-        f"limit +{max_regression:.0%})"
-    )
-    return change <= max_regression, summary
+#: (section, point keys, metric, better) — one row per gated section.
+GATES = (
+    ("timings", ("alert_run_quick", "alert_run"), "mean_s", "lower"),
+    ("scale", ("n1000", "n2000", "n5000", "n10000"), "loop_min_s", "lower"),
+    ("traffic", ("quick_point", "full_point"), "goodput_ratio", "higher"),
+)
 
 
-def check_scale(
-    baseline: dict, candidate: dict, max_regression: float
-) -> tuple[bool, str]:
-    """Gate the N=1000 scale point's event-loop cost.
-
-    ``bench_scale.py --quick`` and the committed full profile both run
-    the same config (seed, field, pairs) at the same simulated
-    duration, so loop times are directly comparable — no amortisation
-    caveat.  Compares ``loop_min_s`` (min over reps; wall-clock noise
-    only ever adds time, so the minimum is the tightest estimate of
-    true cost).
-    """
-    base = (baseline.get("scale") or {}).get("n1000")
-    cand = (candidate.get("scale") or {}).get("n1000")
-    for name, point in (("baseline", base), ("candidate", cand)):
-        if point is None:
-            return False, f"scale n1000: section missing from {name} report"
-    if base.get("sim_duration_s") != cand.get("sim_duration_s"):
-        return False, (
-            f"scale n1000: sim_duration_s differs (baseline "
-            f"{base.get('sim_duration_s')}, candidate "
-            f"{cand.get('sim_duration_s')})"
-        )
-    b, c = base["loop_min_s"], cand["loop_min_s"]
-    change = c / b - 1.0
-    summary = (
-        f"scale n1000 [loop_min_s]: baseline {b:.4g}, candidate {c:.4g} "
-        f"({change:+.1%}; limit +{max_regression:.0%})"
-    )
-    return change <= max_regression, summary
-
-
-def check_traffic(
-    baseline: dict, candidate: dict, max_regression: float
-) -> tuple[bool, str]:
-    """Gate the closed-loop traffic point from ``bench_traffic_adaptive.py``.
-
-    Every number in the ``traffic`` section is produced by seeded runs,
-    so this gate checks the *closed-loop invariants* on exact values
-    rather than wall time: backoff events fired, adaptive offered load
-    sits below CBR's, and adaptive goodput stays within 10 % of the CBR
-    baseline.  When the baseline report has a duration-matched point,
-    the goodput ratio is additionally not allowed to drop by more than
-    ``max_regression`` relative to it.
-    """
-    cand_section = candidate.get("traffic") or {}
-    cand = cand_section.get("quick_point") or cand_section.get("full_point")
-    if cand is None:
-        return False, "traffic: section missing from candidate report"
-    ratio = cand["goodput_ratio"]
+def traffic_problems(point: dict) -> list[str]:
+    """The closed-loop invariants a traffic point violates."""
     problems = []
-    if cand["adaptive"]["backoff_events"] <= 0:
+    adaptive, ratio = point["adaptive"], point["goodput_ratio"]
+    if adaptive["backoff_events"] <= 0:
         problems.append("no backoff events (feedback loop inert)")
-    if cand["adaptive"]["offered_load_pps"] >= cand["cbr"]["offered_load_pps"]:
+    if adaptive["offered_load_pps"] >= point["cbr"]["offered_load_pps"]:
         problems.append("adaptive offered load not below CBR")
     if ratio < 0.9:
         problems.append(f"goodput ratio {ratio:.3f} < 0.9")
-    base_section = baseline.get("traffic") or {}
-    rel = ""
-    for key in ("quick_point", "full_point"):
-        base = base_section.get(key)
-        if base and base.get("sim_duration_s") == cand.get("sim_duration_s"):
-            change = ratio / base["goodput_ratio"] - 1.0
-            rel = f", vs {key} {change:+.1%}"
-            if change < -max_regression:
-                problems.append(
-                    f"ratio fell {-change:.1%} vs baseline {key} "
-                    f"(limit {max_regression:.0%})"
-                )
-            break
+    return problems
+
+
+def compare_point(
+    section: str,
+    key: str,
+    metric: str,
+    better: str,
+    base: dict | None,
+    cand: dict,
+) -> tuple[bool, str]:
+    """Compare one candidate point with the baseline point of its key."""
+    label = f"{section} {key} [{metric}]"
+    if base is None:
+        return False, f"{label}: point missing from baseline report"
+    if base.get("sim_duration_s") != cand.get("sim_duration_s"):
+        return False, (
+            f"{label}: sim_duration_s differs (baseline "
+            f"{base.get('sim_duration_s')}, candidate "
+            f"{cand.get('sim_duration_s')})"
+        )
+    b, c = base[metric], cand[metric]
+    change = c / b - 1.0
+    worse = change if better == "lower" else -change
+    sign = "+" if better == "lower" else "-"
     summary = (
-        f"traffic: goodput ratio {ratio:.3f}, "
-        f"{cand['adaptive']['backoff_events']} backoffs, offered "
-        f"{cand['cbr']['offered_load_pps']:.1f} -> "
-        f"{cand['adaptive']['offered_load_pps']:.1f} pps{rel}"
+        f"{label}: baseline {b:.4g}, candidate {c:.4g} "
+        f"({change:+.1%}; limit {sign}{MAX_REGRESSION:.0%})"
     )
+    problems = traffic_problems(cand) if section == "traffic" else []
+    if worse > MAX_REGRESSION:
+        problems.append("regression beyond the limit")
     if problems:
         return False, summary + " | " + "; ".join(problems)
     return True, summary
+
+
+def check(baseline: dict, candidate: dict) -> list[tuple[bool, str]]:
+    """Gate ``candidate`` against ``baseline``: one (ok, line) per point,
+    or one failing line per section that cannot be compared."""
+    lines = []
+    for section, keys, metric, better in GATES:
+        base_sec, cand_sec = baseline.get(section), candidate.get(section)
+        if cand_sec is None or base_sec is None:
+            where = "candidate" if cand_sec is None else "baseline"
+            lines.append(
+                (False, f"{section}: section missing from {where} report")
+            )
+            continue
+        present = [key for key in keys if key in cand_sec]
+        if not present:
+            lines.append(
+                (False, f"{section}: candidate has none of {', '.join(keys)}")
+            )
+        for key in present:
+            base, cand = base_sec.get(key), cand_sec[key]
+            lines.append(
+                compare_point(section, key, metric, better, base, cand)
+            )
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", type=Path, required=True)
     parser.add_argument("--candidate", type=Path, required=True)
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="tolerated fractional slowdown (default 0.25)",
-    )
     args = parser.parse_args(argv)
     baseline = json.loads(args.baseline.read_text())
     candidate = json.loads(args.candidate.read_text())
     failed = False
-    for gate in (check, check_scale, check_traffic):
-        ok, summary = gate(baseline, candidate, args.max_regression)
-        print(summary)
-        if not ok:
-            failed = True
+    for ok, line in check(baseline, candidate):
+        print(line)
+        failed |= not ok
     if failed:
-        print("FAIL: regression beyond the limit", file=sys.stderr)
+        print("FAIL: a gated point regressed or is missing", file=sys.stderr)
         return 1
     print("OK")
     return 0
 
 
-def _report(mean_s: float, duration: float = 10.0, **extra) -> dict:
-    timings = {"alert_run": {"mean_s": mean_s, "sim_duration_s": duration}}
+def _timings(
+    mean_s: float,
+    duration: float = 10.0,
+    key: str = "alert_run_quick",
+    **extra,
+) -> dict:
+    timings = {key: {"mean_s": mean_s, "sim_duration_s": duration}}
     timings.update(extra)
     return {"timings": timings}
 
 
+def _gate(baseline: dict, candidate: dict, section: str) -> tuple[bool, str]:
+    """The single line ``check`` prints for ``section``'s one point."""
+    (line,) = [
+        (ok, s)
+        for ok, s in check(baseline, candidate)
+        if s.startswith(section)
+    ]
+    return line
+
+
 def test_gate_passes_within_limit():
-    ok, summary = check(_report(1.0), _report(1.17), 0.25)
+    ok, summary = _gate(_timings(1.0), _timings(1.17), "timings")
     assert ok and "+17.0%" in summary
 
 
 def test_gate_fails_beyond_limit():
-    ok, _ = check(_report(1.0), _report(1.5), 0.25)
+    ok, _ = _gate(_timings(1.0), _timings(1.5), "timings")
     assert not ok
 
 
-def test_gate_prefers_duration_matched_quick_section():
-    # Full baseline with a quick section: candidate at 10 s must be
+def test_gate_matches_quick_point_by_key():
+    # Full baseline with a quick point: a candidate's 10 s point is
     # compared against alert_run_quick, not the 60 s run (setup
     # amortisation differs across durations).
-    base = _report(
-        1.8, 60.0, alert_run_quick={"mean_s": 0.30, "sim_duration_s": 10.0}
+    base = _timings(
+        1.8, 60.0, key="alert_run",
+        alert_run_quick={"mean_s": 0.30, "sim_duration_s": 10.0},
     )
-    ok, summary = check(base, _report(0.33), 0.25)
+    ok, summary = _gate(base, _timings(0.33), "timings")
     assert ok and "alert_run_quick" in summary
-    ok, _ = check(base, _report(0.50), 0.25)
+    ok, _ = _gate(base, _timings(0.50), "timings")
     assert not ok
 
 
-def test_gate_fails_without_duration_matched_section():
-    ok, summary = check(_report(1.8, 60.0), _report(0.3), 0.25)
-    assert not ok and "sim_duration_s=10.0" in summary
+def test_gate_fails_without_duration_matched_point():
+    ok, summary = _gate(
+        _timings(1.8, 60.0, key="alert_run"),
+        _timings(0.3, 10.0, key="alert_run"),
+        "timings",
+    )
+    assert not ok and "sim_duration_s differs" in summary and "10.0" in summary
 
 
-def _with_scale(report: dict, loop_min_s: float, duration: float = 10.0) -> dict:
+def test_gate_fails_without_baseline_point():
+    ok, summary = _gate(
+        _timings(1.8, 60.0, key="alert_run"), _timings(0.3), "timings"
+    )
+    assert not ok and "point missing from baseline" in summary
+    assert "alert_run_quick" in summary
+
+
+def test_gate_fails_on_candidate_without_timings():
+    ok, summary = _gate(_full_report(), _with_scale({}, 5.0), "timings")
+    assert not ok
+    assert summary == "timings: section missing from candidate report"
+
+
+def test_gate_fails_on_section_without_gated_points():
+    ok, summary = _gate(
+        _timings(1.0), {"timings": {"hello_round": {"mean_s": 1.0}}}, "timings"
+    )
+    assert not ok and "none of alert_run_quick, alert_run" in summary
+
+
+def _with_scale(
+    report: dict, loop_min_s: float, duration: float = 10.0, key: str = "n1000"
+) -> dict:
     report["scale"] = {
-        "n1000": {"loop_min_s": loop_min_s, "sim_duration_s": duration}
+        key: {"loop_min_s": loop_min_s, "sim_duration_s": duration}
     }
     return report
 
 
 def test_scale_gate_compares_loop_minima():
-    base = _with_scale(_report(1.0), 4.0)
-    ok, summary = check_scale(base, _with_scale(_report(1.0), 4.5), 0.25)
+    base = _with_scale(_timings(1.0), 4.0)
+    ok, summary = _gate(base, _with_scale(_timings(1.0), 4.5), "scale")
     assert ok and "loop_min_s" in summary
-    ok, _ = check_scale(base, _with_scale(_report(1.0), 6.0), 0.25)
+    ok, _ = _gate(base, _with_scale(_timings(1.0), 6.0), "scale")
     assert not ok
 
 
+def test_scale_gate_fails_on_doubled_n10000():
+    base = _with_scale(_timings(1.0), 2.0, key="n10000")
+    cand = _with_scale(_timings(1.0), 4.0, key="n10000")
+    ok, summary = _gate(base, cand, "scale")
+    assert not ok and "scale n10000" in summary and "+100.0%" in summary
+
+
 def test_scale_gate_fails_on_duration_mismatch():
-    base = _with_scale(_report(1.0), 30.0, duration=60.0)
-    ok, summary = check_scale(base, _with_scale(_report(1.0), 5.2), 0.25)
+    base = _with_scale(_timings(1.0), 30.0, duration=60.0)
+    ok, summary = _gate(base, _with_scale(_timings(1.0), 5.2), "scale")
     assert not ok and "sim_duration_s differs" in summary
 
 
 def test_scale_gate_fails_when_section_missing():
-    ok, summary = check_scale(
-        _report(1.0), _with_scale(_report(1.0), 5.0), 0.25
-    )
+    cand = _with_scale(_timings(1.0), 5.0)
+    ok, summary = _gate(_timings(1.0), cand, "scale")
     assert not ok and "missing from baseline report" in summary
 
 
@@ -273,56 +282,56 @@ def _with_traffic(
 
 
 def _traffic_report(ratio: float, **kwargs) -> dict:
-    return _with_traffic(_report(1.0), ratio, **kwargs)
+    return _with_traffic(_timings(1.0), ratio, **kwargs)
 
 
 def test_traffic_gate_passes_on_healthy_point():
-    ok, summary = check_traffic(
-        _traffic_report(0.95), _traffic_report(0.93), 0.25
+    ok, summary = _gate(
+        _traffic_report(0.95), _traffic_report(0.93), "traffic"
     )
-    assert ok and "goodput ratio 0.930" in summary and "quick_point" in summary
+    assert ok and "candidate 0.93" in summary and "quick_point" in summary
 
 
 def test_traffic_gate_fails_below_absolute_floor():
-    ok, summary = check_traffic(
-        _traffic_report(0.95), _traffic_report(0.85), 0.25
+    ok, summary = _gate(
+        _traffic_report(0.95), _traffic_report(0.85), "traffic"
     )
     assert not ok and "< 0.9" in summary
 
 
 def test_traffic_gate_fails_without_backoffs():
-    ok, summary = check_traffic(
-        _traffic_report(0.95), _traffic_report(0.95, backoffs=0), 0.25
+    ok, summary = _gate(
+        _traffic_report(0.95), _traffic_report(0.95, backoffs=0), "traffic"
     )
     assert not ok and "inert" in summary
 
 
 def test_traffic_gate_fails_when_load_not_cut():
-    ok, summary = check_traffic(
+    ok, summary = _gate(
         _traffic_report(0.95),
         _traffic_report(0.95, offered=(455.0, 455.0)),
-        0.25,
+        "traffic",
     )
     assert not ok and "not below CBR" in summary
 
 
 def test_traffic_gate_fails_without_candidate_section():
-    ok, summary = check_traffic(_traffic_report(0.95), _report(1.0), 0.25)
+    ok, summary = _gate(_traffic_report(0.95), _timings(1.0), "traffic")
     assert not ok and "traffic: section missing" in summary
 
 
-def test_traffic_gate_ignores_duration_mismatched_baseline():
-    # Baseline point at a different simulated duration: absolute checks
-    # only, no relative comparison in the summary.
+def test_traffic_gate_fails_on_duration_mismatched_baseline():
+    # One matching rule for every section: a baseline point at another
+    # simulated duration is not comparable.
     base = _traffic_report(0.99, duration=30.0)
-    ok, summary = check_traffic(base, _traffic_report(0.92), 0.25)
-    assert ok and "vs quick_point" not in summary
+    ok, summary = _gate(base, _traffic_report(0.92), "traffic")
+    assert not ok and "sim_duration_s differs" in summary
 
 
 def _full_report(
     mean_s: float = 1.0, loop_min_s: float = 5.0, backoffs: int = 1500
 ) -> dict:
-    report = _with_scale(_report(mean_s), loop_min_s)
+    report = _with_scale(_timings(mean_s), loop_min_s)
     return _with_traffic(report, 0.95, backoffs=backoffs)
 
 
@@ -335,7 +344,7 @@ def _main_rc(tmp_path, baseline: dict, candidate: dict) -> int:
 
 
 def test_main_fails_on_scale_regression(tmp_path):
-    # alert_run and traffic unchanged
+    # timings and traffic unchanged
     assert _main_rc(tmp_path, _full_report(), _full_report(loop_min_s=9.0)) == 1
 
 
@@ -343,8 +352,10 @@ def test_main_fails_on_traffic_violation(tmp_path):
     assert _main_rc(tmp_path, _full_report(), _full_report(backoffs=0)) == 1
 
 
-def test_main_fails_on_missing_section(tmp_path):
-    assert _main_rc(tmp_path, _full_report(), _report(1.0)) == 1
+def test_main_fails_on_missing_section(tmp_path, capsys):
+    assert _main_rc(tmp_path, _full_report(), _timings(1.0)) == 1
+    out = capsys.readouterr().out
+    assert "scale: section missing from candidate report" in out
 
 
 def test_gate_main_roundtrip(tmp_path):

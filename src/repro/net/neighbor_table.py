@@ -69,41 +69,10 @@ class NeighborTable:
         # their rows are never materialised at all.
         self._pending: list[tuple] = []
 
-    #: Pending depth from which the dedup merge beats sequential
-    #: application (measured crossover ≈ 6 slices at ~40-row rounds).
-    _DEDUP_MIN = 7
-
     def _apply_pending(self) -> None:
         """Materialise queued ``ingest_shared`` slices in arrival order."""
         table = self._entries
-        pending = self._pending
-        if len(pending) >= self._DEDUP_MIN:
-            addrs0 = pending[0][4]
-            if all(p[4] is addrs0 for p in pending):
-                # Cross-round dedup: every queued slice indexes the same
-                # shared per-round address list (the hello round keeps
-                # ``tx_list`` object-identical while the active set is
-                # unchanged), and each address appears at most once per
-                # slice, so sequential oldest-to-newest application just
-                # means "the newest slice's row wins per address".
-                # Concatenating newest-first and taking ``np.unique``'s
-                # first occurrence selects exactly those rows while
-                # storing each address once instead of once per round.
-                # Store *order* differs from sequential application, but
-                # dict order is unobservable here: every read sorts by
-                # address (see ``live_entries``/``columns``).
-                rev = pending[::-1]
-                parts = [p[1][p[2]:p[3]] for p in rev]
-                uniq, first = np.unique(
-                    np.concatenate(parts), return_index=True
-                )
-                bounds = np.cumsum([len(x) for x in parts])
-                src = np.searchsorted(bounds, first, side="right")
-                for t, s in zip(uniq.tolist(), src.tolist()):
-                    table[addrs0[t]] = rev[s][0][t]
-                pending.clear()
-                return
-        for entries, idx, lo, hi, addrs in pending:
+        for entries, idx, lo, hi, addrs in self._pending:
             # Gather addresses and rows with one C-level itemgetter each
             # and merge via ``dict.update`` — same stores, same order,
             # no per-row interpreter steps.  ``idx`` may be a numpy

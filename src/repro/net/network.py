@@ -133,9 +133,6 @@ class Network:
         # Active-node mask, invalidated by node fail()/restore() hooks
         # so neighbor queries need not re-check every hit's flag.
         self._active_mask: np.ndarray | None = None
-        # (mask, tx_ids, tx_list) of the last hello round, keyed by the
-        # mask's identity; see _emit_hello_round.
-        self._hello_tx_cache: tuple | None = None
         # Reused all-population buffer for hello-round interpolation.
         self._hello_pos_buf: np.ndarray | None = None
         for node in self.nodes:
@@ -562,19 +559,8 @@ class Network:
         now = self.engine.now
         nodes = self.nodes
         active = self.active_mask()
-        # ``active_mask`` caches its array until a node flips state, so
-        # object identity means "same active set as last round" — reuse
-        # the derived id arrays, and (more importantly) keep ``tx_list``
-        # the *same object* across rounds: pending ingest slices that
-        # share one address list can be merged with cross-round dedup
-        # (see ``NeighborTable._apply_pending``).
-        cached = self._hello_tx_cache
-        if cached is not None and cached[0] is active:
-            tx_ids, tx_list = cached[1], cached[2]
-        else:
-            tx_ids = np.flatnonzero(active)
-            tx_list = tx_ids.tolist()
-            self._hello_tx_cache = (active, tx_ids, tx_list)
+        tx_ids = np.flatnonzero(active)
+        tx_list = tx_ids.tolist()
         n_tx = int(tx_ids.size)
         if n_tx == 0:
             return
