@@ -42,15 +42,24 @@ class NeighborEntry:
 class NeighborTable:
     """A node's view of its one-hop neighborhood.
 
+    Liveness: a row whose ``last_seen`` is older than ``now - ttl`` is
+    invisible to every reader — :meth:`get` and :meth:`live_entries`
+    filter it, and callers of :meth:`columns` mask it with the same
+    predicate.  Dead rows may still be stored (until :meth:`purge`),
+    and queued hello slices past the TTL are dropped unapplied, so
+    ``len()`` counts stored rows, not live ones; it only picks between
+    parity-tested lanes (``gpsr._BATCH_MIN``, ``alert._COLUMNS_MIN``).
+
     Parameters
     ----------
     ttl:
         Entries older than ``ttl`` seconds are treated as gone (the
         neighbor moved away or died); typically 2-3 hello intervals.
+        ``inf`` means rows never expire.
     """
 
     def __init__(self, ttl: float = 3.0) -> None:
-        if ttl <= 0:
+        if not ttl > 0:
             raise ValueError(f"ttl must be positive, got {ttl!r}")
         self.ttl = ttl
         self._entries: dict[int, NeighborEntry] = {}
@@ -61,18 +70,19 @@ class NeighborTable:
         # Column view of the sorted rows (positions, last-seen) for the
         # batched forwarding path; rebuilt lazily alongside ``_sorted``.
         self._columns: tuple | None = None
-        # Deferred hello ingests: (entries, idx, lo, hi, addrs) slices
-        # queued by ``ingest_shared`` and materialised — in arrival
-        # order, so later rounds overwrite earlier ones exactly as an
-        # eager store would — on the first read or eager write.  Most
-        # nodes in a large field forward nothing between rounds, so
-        # their rows are never materialised at all.
+        # Deferred hello ingests: (seen, entries, idx, lo, hi, addrs)
+        # slices queued by ``ingest_shared`` and materialised — in
+        # arrival order, so later rounds overwrite earlier ones exactly
+        # as an eager store would — on the first read or eager write.
+        # Most nodes in a large field forward nothing between rounds,
+        # so their rows are never materialised at all, and slices that
+        # pass the TTL unread are dropped.
         self._pending: list[tuple] = []
 
     def _apply_pending(self) -> None:
         """Materialise queued ``ingest_shared`` slices in arrival order."""
         table = self._entries
-        for entries, idx, lo, hi, addrs in self._pending:
+        for _, entries, idx, lo, hi, addrs in self._pending:
             # Gather addresses and rows with one C-level itemgetter each
             # and merge via ``dict.update`` — same stores, same order,
             # no per-row interpreter steps.  ``idx`` may be a numpy
@@ -101,8 +111,8 @@ class NeighborTable:
     def bulk_update(self, entries: Iterable[NeighborEntry]) -> None:
         """Insert or refresh many rows with one cache invalidation.
 
-        The hello round hands every receiver its in-range transmitters'
-        shared per-round rows through this path.
+        The eager equivalent of :meth:`ingest_shared`; the hello round
+        itself queues slices through the inlined ``ingest_shared``.
         """
         if self._pending:
             self._apply_pending()
@@ -113,7 +123,9 @@ class NeighborTable:
         self._columns = None
 
     #: Queued ingest slices tolerated before an eager merge bounds the
-    #: held references (≈ one slice tuple per hello round).
+    #: held references.  The TTL drop in ``ingest_shared`` already keeps
+    #: about ``ttl / hello_interval + 1`` slices; this cap holds for any
+    #: ``ttl``, ``inf`` included.
     _PENDING_MAX = 32
 
     def ingest_shared(
@@ -123,6 +135,7 @@ class NeighborTable:
         lo: int,
         hi: int,
         addrs: list[int],
+        seen: float,
     ) -> None:
         """Store rows ``entries[t] for t in idx[lo:hi]``.
 
@@ -137,11 +150,22 @@ class NeighborTable:
         eagerly.  ``addrs`` carries ``entries[t].link_address`` as
         ``addrs[t]`` (one shared per-round list), sparing the
         materialisation loop an attribute load per row.
+
+        ``seen`` is the round time: no row of the slice has a later
+        ``last_seen``, and the table is never read at an earlier time
+        (the simulation clock only grows).  Queued slices whose round
+        time is below ``seen - ttl`` are dropped first — from the front
+        of the queue, which holds every such slice when rounds arrive in
+        time order: their rows could never pass a liveness test again,
+        so the live view is unchanged and only dead rows go unstored.
         """
         pending = self._pending
+        cutoff = seen - self.ttl
+        while pending and pending[0][0] < cutoff:
+            del pending[0]
         if len(pending) >= self._PENDING_MAX:
             self._apply_pending()
-        pending.append((entries, idx, lo, hi, addrs))
+        pending.append((seen, entries, idx, lo, hi, addrs))
         self._sorted = None
         self._columns = None
 

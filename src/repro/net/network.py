@@ -272,7 +272,13 @@ class Network:
         return live[live != node_id].tolist()
 
     def nodes_in_rect(self, rect: Rect) -> list[int]:
-        """Oracle: node ids currently inside ``rect`` (half-open)."""
+        """Node ids currently inside ``rect`` (half-open).
+
+        Ground truth from the position snapshot, not from any node's
+        neighbour table: ALERT's ``_zone_broadcast`` and
+        ``_zone_multicast_defended`` (and ZAP's ``_flood``) call it on
+        every zone delivery.
+        """
         _, index = self.snapshot()
         return [int(i) for i in index.query_rect(rect.x0, rect.y0, rect.x1, rect.y1)]
 
@@ -719,15 +725,18 @@ class Network:
         # Inlined ``NeighborTable.ingest_shared`` (one slice append per
         # receiver, ~N of them per round): the method-call dispatch
         # alone is a measurable share of the round at large N.  Keep
-        # the two paths in lockstep — this is the same queue append,
-        # same eager-flush bound, same cache invalidation.
+        # the two paths in lockstep — this is the same TTL drop, queue
+        # append, eager-flush bound and cache invalidation.
         pending_max = NeighborTable._PENDING_MAX
         for rid, b in zip(heads, ends):
             nt = nodes[rid].neighbors
             pending = nt._pending
+            cutoff = now - nt.ttl
+            while pending and pending[0][0] < cutoff:
+                del pending[0]
             if len(pending) >= pending_max:
                 nt._apply_pending()
-            pending.append((entries, txs, a, b, tx_list))
+            pending.append((now, entries, txs, a, b, tx_list))
             nt._sorted = None
             nt._columns = None
             a = b

@@ -23,6 +23,19 @@ class TestNeighborTable:
     def test_invalid_ttl(self):
         with pytest.raises(ValueError):
             NeighborTable(ttl=0)
+        for ttl in (float("nan"), -1.0, float("-inf")):
+            with pytest.raises(ValueError, match="ttl must be positive"):
+                NeighborTable(ttl=ttl)
+
+    def test_infinite_ttl_never_expires(self):
+        t = NeighborTable(ttl=float("inf"))
+        addrs = [1, 2]
+        rows = [entry(addr=a, t=0.0) for a in addrs]
+        t.ingest_shared(rows, [0, 1], 0, 2, addrs, 0.0)
+        t.ingest_shared(rows, [1], 0, 1, addrs, 1e9)
+        assert len(t._pending) == 2
+        assert t.get(1, now=1e12) is rows[0]
+        assert t.live_entries(now=1e12) == rows
 
     def test_update_and_get(self):
         t = NeighborTable(ttl=3.0)
@@ -153,7 +166,7 @@ class TestIngestShared:
             idx = np.concatenate(([0], rows, [len(addrs) - 1])).astype(
                 np.uint16
             )
-            lazy.ingest_shared(entries, idx, 1, 1 + k, addrs)
+            lazy.ingest_shared(entries, idx, 1, 1 + k, addrs, float(r))
             eager.bulk_update([entries[t] for t in rows.tolist()])
         if n_rounds < NeighborTable._PENDING_MAX:
             assert len(lazy._pending) == n_rounds
@@ -163,3 +176,49 @@ class TestIngestShared:
         assert len(got) == len(want) == len(lazy)
         assert all(g is w for g, w in zip(got, want))
         assert lazy._pending == []
+
+    @pytest.mark.parametrize("read_after", [0.0, 0.25, 1.5, 1.75, 2.0, 3.5])
+    def test_short_ttl_drops_dead_slices(self, read_after):
+        """Rounds every 0.5 s under a 1.5 s TTL with no reads between
+        them: queued slices past the TTL are dropped, one exactly at
+        the cutoff is kept, and every read matches the eager table."""
+        ttl, step, n_rounds = 1.5, 0.5, 40
+        rng = np.random.default_rng(17)
+        addrs = list(range(0, 60, 3))
+        lazy = NeighborTable(ttl=ttl)
+        eager = NeighborTable(ttl=ttl)
+        for r in range(n_rounds):
+            now = r * step
+            entries = [
+                entry(addr=a, t=now, pos=Point(a, r)) for a in addrs
+            ]
+            # Random subsets; addresses from 30 up fall silent after
+            # round 10, so the eager table keeps dead rows the lazy one
+            # never stores.
+            heard = len(addrs) if r < 10 else 10
+            k = int(rng.integers(1, heard + 1))
+            rows = np.sort(rng.choice(heard, size=k, replace=False))
+            lazy.ingest_shared(entries, rows, 0, k, addrs, now)
+            eager.bulk_update([entries[t] for t in rows.tolist()])
+            seen = [s[0] for s in lazy._pending]
+            assert min(seen) >= now - ttl
+            if now >= ttl:
+                # round times are exact multiples of 0.5
+                assert seen[0] == now - ttl
+            assert len(seen) == min(r + 1, int(ttl / step) + 1)
+        now = (n_rounds - 1) * step + read_after
+        cutoff = now - ttl
+        assert lazy.live_entries(now) == eager.live_entries(now)
+        for a in range(60):
+            assert lazy.get(a, now) is eager.get(a, now)
+        got_rows, got_x, got_y, got_seen = lazy.columns()
+        want_rows, want_x, want_y, want_seen = eager.columns()
+        got_live = got_seen >= cutoff
+        want_live = want_seen >= cutoff
+        assert [e for e, m in zip(got_rows, got_live) if m] == [
+            e for e, m in zip(want_rows, want_live) if m
+        ]
+        assert np.array_equal(got_x[got_live], want_x[want_live])
+        assert np.array_equal(got_y[got_live], want_y[want_live])
+        # the dropped slices' rows are dead rows the lazy table never stored
+        assert len(lazy) < len(eager)

@@ -400,6 +400,57 @@ class TestHelloRoundParity:
                 net.engine.run()
             assert_rounds_match(vec, ref)
 
+    @pytest.mark.parametrize("dead", [(), (3, 17)])
+    def test_parity_over_ttl_without_reads(self, dead):
+        """Ten rounds 1 s apart (10 s, over three 3 s TTLs) with no
+        table read in between: every round drops each receiver's queued
+        slices past the TTL, keeps the one exactly at the cutoff, and
+        the lazily built tables still show the scalar reference's live
+        view."""
+        vec, ref = (
+            build_network(n_nodes=60, seed=21, field_size=400.0, speed=20.0)
+            for _ in range(2)
+        )
+        for r in range(10):
+            for net in (vec, ref):
+                if r == 4:
+                    for nid in dead:
+                        net.nodes[nid].fail()
+                net.engine.schedule_in(1.0, lambda: None)
+                net.engine.run()
+            vec._emit_hello_round()
+            scalar_hello_round(ref)
+            now = vec.engine.now
+            for node in vec.nodes:
+                if not node.active:
+                    continue
+                pending = node.neighbors._pending
+                # every live node hears a beacon every round here
+                assert pending[-1][0] == now
+                assert all(s[0] >= now - node.neighbors.ttl for s in pending)
+                # round times are whole seconds: 1 s rounds under a 3 s
+                # TTL keep four slices, the oldest exactly at the cutoff
+                assert len(pending) == min(r + 1, 4)
+                if r >= 3:
+                    assert pending[0][0] == now - node.neighbors.ttl
+        assert vec.hello_tx == ref.hello_tx
+        assert vec.airtime_tx_s == ref.airtime_tx_s
+        assert vec.airtime_rx_s == ref.airtime_rx_s
+        now = vec.engine.now
+        for later in (now, now + 1.0, now + 3.0):
+            for a, b in zip(vec.nodes, ref.nodes):
+                assert a.tx_count == b.tx_count
+                assert a.neighbors.live_entries(later) == b.neighbors.live_entries(
+                    later
+                )
+                for nid in range(vec.n_nodes):
+                    assert a.neighbors.get(nid, later) == b.neighbors.get(nid, later)
+        # mobility churned neighbour sets, so dropped slices held rows
+        # the scalar tables still store as dead
+        assert sum(len(n.neighbors) for n in vec.nodes) < sum(
+            len(n.neighbors) for n in ref.nodes
+        )
+
     def test_parity_at_exact_range(self):
         """Pairs exactly one radio range apart, and nodes sitting on grid
         cell boundaries, are in range for both rounds."""
