@@ -55,12 +55,6 @@ from repro.routing.gpsr import next_hop_greedy_batched
 from repro.sim.process import Timer
 
 
-#: Neighbor-table size at which ``_maybe_rebroadcast``'s suppression
-#: check runs over the cached column arrays instead of the per-entry
-#: scalar loop (same cutover idea as ``next_hop_greedy_batched``).
-_COLUMNS_MIN = 64
-
-
 def _rect_to_bytes(r: Rect) -> bytes:
     import struct
 
@@ -522,33 +516,12 @@ class AlertProtocol(RoutingProtocol):
         now = self.engine.now
         pos = node.position(now)
         center = hdr.zone_dst.center
-        my_d = pos.sq_distance_to(center)
-        threshold = my_d - 1e-9
-        table = node.neighbors
-        if len(table) >= _COLUMNS_MIN:
-            # Vectorised existence test over the cached column arrays:
-            # the same liveness cutoff, half-open containment, and
-            # two-term squared-distance float64 arithmetic as the
-            # scalar early-return loop, so the decision is identical.
-            rows, xs, ys, seen = table.columns()
-            zd = hdr.zone_dst
-            closer = xs - center.x
-            dy = ys - center.y
-            closer *= closer
-            dy *= dy
-            closer += dy
-            hit = closer < threshold
-            hit &= seen >= now - table.ttl
-            hit &= (xs >= zd.x0) & (xs < zd.x1)
-            hit &= (ys >= zd.y0) & (ys < zd.y1)
-            if hit.any():
+        threshold = pos.sq_distance_to(center) - 1e-9
+        contains = hdr.zone_dst.contains
+        for e in node.neighbors.live_entries(now):
+            ep = e.position
+            if contains(ep) and ep.sq_distance_to(center) < threshold:
                 return  # someone more central will do it
-        else:
-            contains = hdr.zone_dst.contains
-            for e in table.live_entries(now):
-                ep = e.position
-                if contains(ep) and ep.sq_distance_to(center) < threshold:
-                    return  # someone more central will do it
         branch = packet.fork()
         branch.header.zone_stage = 2
         self._mark_participant(packet, node.id)

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from repro.net.traffic import check_aimd_params
+
 
 @dataclass(frozen=True)
 class TrafficConfig:
@@ -44,19 +46,10 @@ class TrafficConfig:
     def __post_init__(self) -> None:
         if self.model not in ("cbr", "adaptive"):
             raise ValueError(f"unknown traffic model {self.model!r}")
-        if not 0 < self.min_interval <= self.max_interval:
-            raise ValueError(
-                "need 0 < min_interval <= max_interval, got "
-                f"{self.min_interval!r}..{self.max_interval!r}"
-            )
-        if self.backoff_factor <= 1.0:
-            raise ValueError(
-                f"backoff_factor must exceed 1, got {self.backoff_factor!r}"
-            )
-        if self.recovery_step < 0:
-            raise ValueError(
-                f"recovery_step must be >= 0, got {self.recovery_step!r}"
-            )
+        check_aimd_params(
+            self.min_interval, self.max_interval,
+            self.backoff_factor, self.recovery_step,
+        )
 
     def with_(self, **overrides: Any) -> "TrafficConfig":
         """A copy with the given fields replaced."""

@@ -4,7 +4,8 @@ Neighbor discovery is the hot path of every geographic-routing
 simulation: each hop asks "which nodes are within radio range of me
 right now?".  A uniform grid with cell size equal to the query radius
 answers that with a 3×3-cell candidate gather plus one vectorised
-distance filter — O(candidates) instead of O(N) per query.
+distance filter — O(candidates) instead of O(N) per query.  Rect
+queries and ``nearest`` are one vectorised scan over every position.
 
 Buckets are built by lexicographically sorting the integer ``(cx, cy)``
 cell coordinates.  An earlier revision keyed buckets on a single
@@ -24,11 +25,6 @@ diff instead of a full sort-and-bucket rebuild (see
 from __future__ import annotations
 
 import numpy as np
-
-#: Below this population, one vectorised full scan beats per-bucket
-#: gathering for rect queries (radius queries still use the grid: their
-#: 3×3-cell candidate set is small at any N).
-_SMALL_N = 512
 
 
 class GridIndex:
@@ -252,39 +248,12 @@ class GridIndex:
     def query_rect(self, x0: float, y0: float, x1: float, y1: float) -> np.ndarray:
         """Indices of nodes inside the half-open rect [x0,x1) × [y0,y1).
 
-        Gathers candidate buckets overlapping the rect (instead of
-        scanning all N positions) and filters them exactly; results are
-        sorted ascending.
+        One vectorised scan over every position; results are sorted
+        ascending.
         """
-        if self._n == 0 or x1 <= x0 or y1 <= y0:
-            return np.empty(0, dtype=np.int64)
-        if self._n <= _SMALL_N:
-            # One vectorised scan beats per-bucket gathering below a
-            # few hundred nodes (same result set either way).
-            p = self.positions
-            mask = (
-                (p[:, 0] >= x0)
-                & (p[:, 0] < x1)
-                & (p[:, 1] >= y0)
-                & (p[:, 1] < y1)
-            )
-            return np.flatnonzero(mask)
-        cs = self.cell_size
-        cand = self._gather_cells(
-            int(np.floor(x0 / cs)),
-            int(np.floor(y0 / cs)),
-            # x1/y1 are exclusive, but the edge cell can still hold
-            # points strictly inside the rect.
-            int(np.floor(x1 / cs)),
-            int(np.floor(y1 / cs)),
-        )
-        if cand.size == 0:
-            return cand
-        p = self.positions[cand]
+        p = self.positions
         mask = (p[:, 0] >= x0) & (p[:, 0] < x1) & (p[:, 1] >= y0) & (p[:, 1] < y1)
-        out = cand[mask]
-        out.sort()
-        return out
+        return np.flatnonzero(mask)
 
     def nearest(self, x: float, y: float, exclude: int | None = None) -> int:
         """Index of the node nearest to ``(x, y)``.

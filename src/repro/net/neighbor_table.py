@@ -48,7 +48,8 @@ class NeighborTable:
     predicate.  Dead rows may still be stored (until :meth:`purge`),
     and queued hello slices past the TTL are dropped unapplied, so
     ``len()`` counts stored rows, not live ones; it only picks between
-    parity-tested lanes (``gpsr._BATCH_MIN``, ``alert._COLUMNS_MIN``).
+    the parity-tested lanes of ``next_hop_greedy_batched``
+    (``gpsr._BATCH_MIN``).
 
     Parameters
     ----------

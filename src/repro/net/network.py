@@ -321,7 +321,6 @@ class Network:
         sender_id: int,
         receiver_id: int,
         packet: Packet,
-        on_delivered: Callable[[Node], None] | None = None,
         on_failed: Callable[[str], None] | None = None,
         flow: int | None = None,
         overhear_fork: tuple[int, Packet] | None = None,
@@ -330,8 +329,8 @@ class Network:
 
         Failure modes: the receiver is out of range (stale neighbor
         table) or the MAC retry limit is exhausted.  Delivery invokes
-        the receiver's protocol hook and then ``on_delivered``; failure
-        invokes ``on_failed(reason)`` after the wasted airtime elapses.
+        the receiver's protocol hook; failure invokes
+        ``on_failed(reason)`` after the wasted airtime elapses.
 
         ``overhear_fork`` optionally names a promiscuous listener: if
         that ``(node_id, prepared_packet)`` target is in range of the
@@ -376,22 +375,9 @@ class Network:
 
         category = _event_category(packet)
         if outcome.success:
-            if on_delivered is None:
-                # Typed delivery record: the dominant path schedules
-                # ``receiver.deliver(packet)`` with no closure at all.
-                self.engine.schedule_deliver(
-                    now + outcome.delay_s, receiver, packet,
-                    category=category,
-                )
-            else:
-                def _deliver() -> None:
-                    receiver.deliver(packet)
-                    on_delivered(receiver)
-
-                self.engine.schedule_in(
-                    outcome.delay_s, _deliver,
-                    category=category, cancellable=False,
-                )
+            self.engine.schedule_deliver(
+                now + outcome.delay_s, receiver, packet, category=category
+            )
         elif on_failed is not None:
             self.engine.schedule_in(
                 outcome.delay_s, lambda r=reason: on_failed(r),
@@ -414,7 +400,6 @@ class Network:
         self,
         sender_id: int,
         packet: Packet,
-        on_delivered: Callable[[Node, Packet], None] | None = None,
         flow: int | None = None,
         restrict_to: Sequence[int] | None = None,
     ) -> list[int]:
@@ -423,9 +408,9 @@ class Network:
         Every in-range node receives a :meth:`~repro.net.packet.Packet.fork`
         of ``packet`` — its own trace list *and* its own header copy,
         so a receiver mutating per-hop routing state cannot corrupt a
-        sibling branch.  ``restrict_to``
-        optionally filters the receiver set by node id — used by
-        ALERT's destination-zone delivery where only zone members
+        sibling branch, and all of them ride one batched delivery record.
+        ``restrict_to`` optionally filters the receiver set by node id —
+        used by ALERT's destination-zone delivery where only zone members
         process the frame (others drop it at the link layer).
 
         Returns the list of receiver ids (empty if the frame collided).
@@ -451,42 +436,18 @@ class Network:
             allowed = set(restrict_to)
             receivers = [r for r in receivers if r in allowed]
 
-        category = _event_category(packet)
-        t_deliver = now + outcome.delay_s
-        if on_delivered is None:
-            # Fast lane for the dominant fire-and-forget fan-out: the
-            # whole co-temporal receiver block rides one batched
-            # delivery record (one heap entry, one reserved seq per
-            # receiver — ordering identical to per-receiver records).
-            if receivers:
-                nodes = self.nodes
-                self.engine.schedule_deliver_batch(
-                    t_deliver,
-                    [nodes[rid] for rid in receivers],
-                    [packet.fork() for _ in receivers],
-                    category=category,
-                )
-            return receivers
-        schedule = self.engine.schedule_at
-        for rid in receivers:
-            node = self.nodes[rid]
-            branch = packet.fork()
-
-            def _deliver(n: Node = node, p: Packet = branch) -> None:
-                n.deliver(p)
-                on_delivered(n, p)
-
-            schedule(
-                t_deliver, _deliver,
-                category=category, cancellable=False,
+        if receivers:
+            nodes = self.nodes
+            self.engine.schedule_deliver_batch(
+                now + outcome.delay_s,
+                [nodes[rid] for rid in receivers],
+                [packet.fork() for _ in receivers],
+                category=_event_category(packet),
             )
         return receivers
 
     def broadcast_fanout(
-        self,
-        txs: Sequence[tuple[int, Packet, int | None]],
-        on_delivered: Callable[[Node, Packet], None] | None = None,
-        restrict_to: Sequence[int] | None = None,
+        self, txs: Sequence[tuple[int, Packet, int | None]]
     ) -> list[list[int]]:
         """A fan-out of :meth:`local_broadcast` calls at one instant.
 
@@ -498,9 +459,7 @@ class Network:
         Returns one receiver list per transmission, in ``txs`` order.
         """
         return [
-            self.local_broadcast(
-                sender_id, packet, on_delivered, flow, restrict_to
-            )
+            self.local_broadcast(sender_id, packet, flow)
             for sender_id, packet, flow in txs
         ]
 

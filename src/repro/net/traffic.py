@@ -24,6 +24,7 @@ send times, same metrics.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from repro.net.feedback import (
@@ -119,6 +120,29 @@ class CbrSource:
         self._task.stop()
 
 
+def check_aimd_params(
+    min_interval: float, max_interval: float,
+    backoff_factor: float, recovery_step: float,
+) -> None:
+    """Reject non-finite or out-of-range AIMD parameters (``ValueError``);
+    shared by :class:`AdaptiveSource` and ``TrafficConfig``."""
+    for name, value in (
+        ("min_interval", min_interval), ("max_interval", max_interval),
+        ("backoff_factor", backoff_factor), ("recovery_step", recovery_step),
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not 0 < min_interval <= max_interval:
+        raise ValueError(
+            "need 0 < min_interval <= max_interval, got "
+            f"{min_interval!r}..{max_interval!r}"
+        )
+    if not backoff_factor > 1.0:
+        raise ValueError(f"backoff_factor must exceed 1, got {backoff_factor!r}")
+    if not recovery_step >= 0:
+        raise ValueError(f"recovery_step must be >= 0, got {recovery_step!r}")
+
+
 class AdaptiveSource(CbrSource):
     """A loss-reactive CBR source with AIMD interval control.
 
@@ -166,19 +190,14 @@ class AdaptiveSource(CbrSource):
         recovery_step: float = 0.25,
         backoff_kinds: frozenset[str] = DEFAULT_BACKOFF_KINDS,
     ) -> None:
-        if not (0 < min_interval <= interval <= max_interval):
+        check_aimd_params(
+            min_interval, max_interval, backoff_factor, recovery_step
+        )
+        if not min_interval <= interval <= max_interval:
             raise ValueError(
-                f"need 0 < min_interval <= interval <= max_interval, got "
+                f"need min_interval <= interval <= max_interval, got "
                 f"min={min_interval!r} interval={interval!r} "
                 f"max={max_interval!r}"
-            )
-        if backoff_factor <= 1.0:
-            raise ValueError(
-                f"backoff_factor must exceed 1, got {backoff_factor!r}"
-            )
-        if recovery_step < 0:
-            raise ValueError(
-                f"recovery_step must be >= 0, got {recovery_step!r}"
             )
         unknown = backoff_kinds - {
             LOSS_MAC_DROP, LOSS_LINK_FAILURE, LOSS_DROP, LOSS_TIMEOUT

@@ -46,10 +46,6 @@ from typing import Any, Callable
 from repro.sim.events import Event, EventHandle, OP_DELIVER, OP_DELIVER_BATCH
 from repro.sim.rng import RngRegistry
 
-#: Compaction threshold: dead entries tolerated before a rebuild is
-#: even considered (amortises tiny heaps away).
-_COMPACT_MIN = 64
-
 
 class SimulationError(RuntimeError):
     """Raised on scheduling errors (e.g., scheduling into the past)."""
@@ -261,10 +257,7 @@ class Engine:
         the heap at O(live events) instead of growing it unboundedly.
         """
         self._n_cancelled += 1
-        if (
-            self._n_cancelled > _COMPACT_MIN
-            and 2 * self._n_cancelled > len(self._heap)
-        ):
+        if 2 * self._n_cancelled > len(self._heap):
             # In place: ``run`` holds a local alias to the heap list.
             # Typed delivery records (integer opcode in the fn slot)
             # carry a Node in slot 5 and are never cancellable.

@@ -209,8 +209,8 @@ class TestRandomizedDifferential:
     @settings(max_examples=15 * _BUDGET, deadline=None)
     @given(st.integers(0, 10_000))
     def test_differential_large_population_bucket_paths(self, seed):
-        # Above _SMALL_N the bucketed rect path runs; the incremental
-        # index must stay identical there too.
+        # A 600-node population with many bucket moves per step: the
+        # incremental index must stay identical at this size too.
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0, 2000, size=(600, 2))
         grid, naive = run_differential(

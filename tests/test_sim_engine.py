@@ -155,8 +155,8 @@ class TestCancellation:
         assert h.time == 3.25
 
     def test_cancel_heavy_workload_keeps_heap_bounded(self):
-        # Schedule/cancel far more events than the compaction threshold:
-        # the heap must stay O(live events), not O(all ever scheduled).
+        # Schedule/cancel far more events than stay live: the heap
+        # must stay O(live events), not O(all ever scheduled).
         eng = Engine()
         keep = [eng.schedule_at(100.0, lambda: None) for _ in range(10)]
         for _ in range(20):
@@ -171,6 +171,22 @@ class TestCancellation:
         eng.schedule_at(100.0, lambda: hits.append(eng.now))
         eng.run()
         assert hits == [100.0]
+        assert eng.pending() == 0
+
+    def test_small_heap_compacts_once_half_is_dead(self):
+        # Compaction has no size floor: 3 live + 4 cancelled entries
+        # compact to the 3 live ones, which still fire in time order.
+        eng = Engine()
+        fired = []
+        for t in (3.0, 1.0, 2.0):
+            eng.schedule_at(t, lambda t=t: fired.append(t))
+        dead = [eng.schedule_at(t, lambda: None) for t in (0.5, 1.5, 2.5, 3.5)]
+        for h in dead:
+            h.cancel()
+        assert len(eng._heap) == 3
+        assert eng.pending() == 3
+        eng.run()
+        assert fired == [1.0, 2.0, 3.0]
         assert eng.pending() == 0
 
     def test_cancel_after_fire_does_not_corrupt_count(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry.spatial_index import _SMALL_N, GridIndex
+from repro.geometry.spatial_index import GridIndex
 
 
 def brute_radius(positions, x, y, r):
@@ -249,18 +249,19 @@ class TestPropertyVsBruteForce:
         for x, y in [(25.0, 25.0), (5025.0, 5025.0), (2500.0, 2500.0)]:
             assert idx.nearest(x, y) == brute_nearest(pos, x, y)
 
+
 class TestNearestCrossover:
-    """``nearest`` exclude-handling on both sides of the ``_SMALL_N``
-    rect-query cutover (N == _SMALL_N and N == _SMALL_N + 1; ``nearest``
-    itself is one argmin scan at every N).  Identical point sets (plus
-    one far-away extra) must give identical answers."""
+    """``nearest`` exclude-handling and tie-breaking on a 512-node set
+    and on the same set plus one far-away node (``nearest`` is one
+    argmin scan at every N).  Both indices must give identical
+    answers."""
 
     @staticmethod
     def _point_sets(seed):
         rng = np.random.default_rng(seed)
-        small = rng.uniform(0, 2000, size=(_SMALL_N, 2))
+        small = rng.uniform(0, 2000, size=(512, 2))
         # The extra node sits far outside every query so it never wins:
-        # both indices answer from the shared _SMALL_N points.
+        # both indices answer from the shared 512 points.
         large = np.vstack([small, [[50_000.0, 50_000.0]]])
         return rng, small, large
 
@@ -270,7 +271,7 @@ class TestNearestCrossover:
         big = GridIndex(large, 100.0)
         for _ in range(50):
             x, y = rng.uniform(-100, 2100, size=2)
-            exclude = int(rng.integers(0, _SMALL_N))
+            exclude = int(rng.integers(0, 512))
             want = brute_nearest(small, x, y, exclude=exclude)
             assert scan.nearest(x, y, exclude=exclude) == want
             assert big.nearest(x, y, exclude=exclude) == want
@@ -302,7 +303,7 @@ class TestNearestCrossover:
         _, small, large = self._point_sets(34)
         scan = GridIndex(small, 100.0)
         big = GridIndex(large, 100.0)
-        for exclude in (-1, _SMALL_N + 5, 10_000):
+        for exclude in (-1, 517, 10_000):
             want = brute_nearest(small, 500.0, 500.0)
             assert scan.nearest(500.0, 500.0, exclude=exclude) == want
             assert big.nearest(500.0, 500.0, exclude=exclude) == want

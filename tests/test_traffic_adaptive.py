@@ -201,6 +201,13 @@ class TestAdaptiveArithmetic:
             _adaptive(interval=1.0, recovery_step=-0.1)
         with pytest.raises(ValueError):
             _adaptive(interval=1.0, backoff_kinds=frozenset({"bogus"}))
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            for name in (
+                "min_interval", "max_interval", "backoff_factor",
+                "recovery_step",
+            ):
+                with pytest.raises(ValueError):
+                    _adaptive(interval=1.0, **{name: bad})
 
 
 class TestRegisterBeforeDispatch:
@@ -476,3 +483,10 @@ class TestTrafficConfig:
             TrafficConfig(backoff_factor=0.9)
         with pytest.raises(ValueError):
             TrafficConfig(recovery_step=-1.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            for name in (
+                "min_interval", "max_interval", "backoff_factor",
+                "recovery_step",
+            ):
+                with pytest.raises(ValueError):
+                    TrafficConfig(**{name: bad})
