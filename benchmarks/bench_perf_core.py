@@ -2,8 +2,8 @@
 
 Unlike the ``bench_fig*`` drivers (which regenerate the paper's
 figures), this harness measures the *wall-clock* cost of one
-end-to-end ALERT simulation at the paper's defaults, in real-crypto
-and cost-only mode, with per-category engine event counters.
+end-to-end ALERT simulation at the paper's defaults, with
+per-category engine event counters.
 ``benchmarks/bench_profile.py`` profiles one run under cProfile.
 
 Results land in the ``timings`` section of ``BENCH_perf.json`` at the
@@ -41,41 +41,28 @@ REPORT_PATH = REPO_ROOT / "BENCH_perf.json"
 def bench_alert_run(duration: float, reps: int = 3) -> dict[str, float]:
     """End-to-end ALERT simulations at the paper's defaults.
 
-    Times the run with real crypto and again in ``cost-only`` mode
-    (shadow ciphertexts, identical event trace, crypto charged to the
-    cost model only).  Multiple reps because a single 200-node run is
-    ~1 s and shared machines jitter by ±20 %; the mean is the number
-    the CI regression gate defends.  The per-category engine event
-    counters of the real run are recorded alongside the timings so a
-    perf change that silently alters the workload (rather than the
-    per-event cost) is visible in the report diff.
+    Multiple reps because a single 200-node run is ~1 s and shared
+    machines jitter by ±20 %; the mean is the number the CI regression
+    gate defends.  The per-category engine event counters are recorded
+    alongside the timings so a perf change that silently alters the
+    workload (rather than the per-event cost) is visible in the report
+    diff.
     """
     cfg = ExperimentConfig(
         protocol="ALERT", n_nodes=200, duration=duration, n_pairs=10
     )
-    cost_cfg = cfg.with_(
-        alert_options={**cfg.alert_options, "crypto_mode": "cost-only"}
-    )
     result = run_experiment(cfg)  # warm-up: imports, allocator, caches
-    run_experiment(cost_cfg)
-    # Interleave the two modes so drifting background load (shared CI
-    # machines) biases both samples the same way instead of whichever
-    # mode happened to run second.
-    real: list[float] = []
-    cost_only: list[float] = []
+    times: list[float] = []
     for _ in range(reps):
         t0 = time.perf_counter()
         run_experiment(cfg)
-        real.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_experiment(cost_cfg)
-        cost_only.append(time.perf_counter() - t0)
+        times.append(time.perf_counter() - t0)
 
-    mean_s = float(np.mean(real))
+    mean_s = float(np.mean(times))
     events = result.engine.events_processed
     out: dict[str, float] = {
         "mean_s": mean_s,
-        "min_s": float(np.min(real)),
+        "min_s": float(np.min(times)),
         "reps": reps,
         "n_nodes": cfg.n_nodes,
         "sim_duration_s": duration,
@@ -87,8 +74,6 @@ def bench_alert_run(duration: float, reps: int = 3) -> dict[str, float]:
         "event_counts": {
             k: int(v) for k, v in sorted(result.event_counts.items())
         },
-        "cost_only_mean_s": float(np.mean(cost_only)),
-        "cost_only_min_s": float(np.min(cost_only)),
     }
     return out
 
@@ -139,7 +124,6 @@ def test_perf_harness_smoke(tmp_path):
     # Per-category counters ship with the report, and cover every
     # processed event (nothing escapes categorisation).
     assert sum(run["event_counts"].values()) == run["events_processed"]
-    assert run["cost_only_mean_s"] > 0.0
     out = tmp_path / "BENCH_perf.json"
     merge_section(out, "timings", timings)
     assert json.loads(out.read_text())["schema"] == 1

@@ -82,7 +82,6 @@ class SessionState:
     dest_position: Point
     dest_public: object
     seq: int = 0
-    established: bool = False
     #: sha256 of sent plaintexts, for end-to-end integrity verification
     sent_digests: dict[int, bytes] = field(default_factory=dict)
     #: metrics flow id per sequence number (confirmation-timeout feedback)
@@ -114,9 +113,6 @@ class AlertProtocol(RoutingProtocol):
             else required_partitions(network.n_nodes, self.config.k)
         )
         self._rng = self.engine.rng.stream("alert")
-        #: cost-only crypto: shadow ciphertexts, real cost charges,
-        #: identical RNG draws (see AlertConfig.crypto_mode)
-        self._cost_only = self.config.crypto_mode == "cost-only"
         self._sessions: dict[tuple[int, int], SessionState] = {}
         self._next_session = 1
         #: destination-side unwrapped session keys, by session id
@@ -142,7 +138,6 @@ class AlertProtocol(RoutingProtocol):
             t=self.config.notify_t,
             t0=self.config.notify_t0,
             cover_size_bytes=self.config.cover_size_bytes,
-            cost_only=self._cost_only,
         )
 
     # ------------------------------------------------------------------
@@ -155,10 +150,7 @@ class AlertProtocol(RoutingProtocol):
         record = self.lookup_destination(src, dst)
         key = SymmetricKey.generate(self._rng)
         dest_cipher = PublicKeyCipher.for_encryption(record.public_key)
-        if self._cost_only:
-            wrapped: bytes = dest_cipher.encrypt_cost_only(key.material)
-        else:
-            wrapped = dest_cipher.encrypt(key.material)
+        wrapped = dest_cipher.encrypt(key.material)
         self.cost.pubkey_encrypt()
 
         bounds = self.network.field.bounds
@@ -167,10 +159,7 @@ class AlertProtocol(RoutingProtocol):
             bounds, src_pos, self.h, self.config.first_direction
         )
         zone_src_bytes = _rect_to_bytes(zone_src)
-        if self._cost_only:
-            zone_src_enc: bytes = dest_cipher.encrypt_cost_only(zone_src_bytes)
-        else:
-            zone_src_enc = dest_cipher.encrypt(zone_src_bytes)
+        zone_src_enc = dest_cipher.encrypt(zone_src_bytes)
         self.cost.pubkey_encrypt()
 
         zd = destination_zone(
@@ -221,19 +210,10 @@ class AlertProtocol(RoutingProtocol):
         if packet.flow_id is not None:
             sess.flow_ids[seq] = packet.flow_id
         nonce = seq.to_bytes(8, "big")
-        cipher = SymmetricCipher(sess.key)
-        if self._cost_only:
-            ciphertext: bytes = cipher.encrypt_cost_only(plaintext, nonce)
-        else:
-            ciphertext = cipher.encrypt(plaintext, nonce)
+        ciphertext = SymmetricCipher(sess.key).encrypt(plaintext, nonce)
         sess.retained[seq] = ciphertext
 
         delay = self.cost.symmetric_encrypt()
-        if not sess.established and self.config.charge_session_setup:
-            # The two public-key ops of session setup were tallied in
-            # _get_session; charge their time to this first packet.
-            delay += self.cost.pubkey_encrypt_s * 2
-        sess.established = True
 
         header = AlertHeader(
             ptype=AlertPacketType.RREQ,
@@ -551,7 +531,6 @@ class AlertProtocol(RoutingProtocol):
                 release.payload,
                 self._sessions_public_key(hdr.session),
                 self._rng,
-                cost_only=self._cost_only,
             )
             self.cost.pubkey_encrypt()
             release.payload = scrambled
@@ -580,7 +559,6 @@ class AlertProtocol(RoutingProtocol):
             packet.payload,
             self._sessions_public_key(hdr.session),
             self._rng,
-            cost_only=self._cost_only,
         )
         self.cost.pubkey_encrypt()
         packet.payload = scrambled

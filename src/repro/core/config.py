@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.zones import Direction
@@ -47,10 +48,6 @@ class AlertConfig:
         Source resend timer, seconds.
     max_resends:
         Resend attempts before giving up.
-    charge_session_setup:
-        Charge the one-time public-key wrap of the session key to the
-        first packet's latency (the paper's steady-state latency
-        figures do not include it; see EXPERIMENTS.md).
     zone_flood:
         Zone members rebroadcast once inside ``Z_D`` so zones larger
         than one radio hop are still covered.
@@ -62,14 +59,10 @@ class AlertConfig:
         transmitter, so this costs nothing on the air; it is what lets
         ALERT out-deliver GPSR when the destination has drifted from
         its last known position (Fig. 16b).
-    crypto_mode:
-        ``"real"`` runs the functional ciphers; ``"cost-only"``
-        replaces ciphertext bytes with wire-length-exact
-        :class:`~repro.crypto.cipher.ShadowCiphertext` placeholders
-        while still charging the cost model and drawing the same
-        random numbers, so end-to-end metrics are bit-identical
-        (guarded by a parity test suite) and large sweeps skip the
-        byte crunching.
+
+    Every session runs the functional ciphers of :mod:`repro.crypto`;
+    the crypto cost model charges their time.  Out-of-range values
+    raise :class:`ValueError` at construction.
     """
 
     k: int = 6
@@ -86,22 +79,26 @@ class AlertConfig:
     enable_confirmation: bool = False
     confirmation_timeout: float = 1.0
     max_resends: int = 2
-    charge_session_setup: bool = False
     zone_flood: bool = True
     promiscuous_destination: bool = True
-    crypto_mode: str = "real"
 
     def __post_init__(self) -> None:
-        if self.crypto_mode not in ("real", "cost-only"):
+        # ``not value > bound`` also rejects NaN.
+        for name in (
+            "k", "segment_ttl", "max_rf_rounds", "cover_size_bytes", "multicast_m"
+        ):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.h_override is not None and not self.h_override >= 1:
+            raise ValueError(f"h_override must be >= 1, got {self.h_override!r}")
+        if not self.max_resends >= 0:
+            raise ValueError(f"max_resends must be >= 0, got {self.max_resends!r}")
+        if not (self.notify_t >= 0 and math.isfinite(self.notify_t)):
             raise ValueError(
-                f"crypto_mode must be 'real' or 'cost-only', "
-                f"got {self.crypto_mode!r}"
+                f"notify_t must be finite and >= 0, got {self.notify_t!r}"
             )
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.h_override is not None and self.h_override < 1:
-            raise ValueError(f"h_override must be >= 1, got {self.h_override}")
-        if self.multicast_m < 1:
-            raise ValueError(f"multicast_m must be >= 1, got {self.multicast_m}")
-        if self.notify_t < 0 or self.notify_t0 <= 0:
-            raise ValueError("notify window must be non-negative / positive")
+        for name in ("notify_t0", "confirmation_timeout"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")

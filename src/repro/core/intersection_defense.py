@@ -20,26 +20,18 @@ import struct
 
 import numpy as np
 
-from repro.crypto.cipher import PublicKeyCipher, ShadowCiphertext
+from repro.crypto.cipher import PublicKeyCipher
 from repro.crypto.keys import KeyPair, PublicKey
 
 
 def apply_bit_flips(payload: bytes, positions: list[int]) -> bytes:
-    """Flip the given bit positions of ``payload`` (involution).
-
-    A :class:`ShadowCiphertext` payload (cost-only runs) stays a
-    shadow: its on-air bytes are flipped like any other ciphertext but
-    the carried true plaintext rides along unchanged, exactly as the
-    real destination recovers the real plaintext after unflipping.
-    """
+    """Flip the given bit positions of ``payload`` (involution)."""
     out = bytearray(payload)
     n_bits = len(out) * 8
     for pos in positions:
         if not 0 <= pos < n_bits:
             raise ValueError(f"bit position {pos} out of range")
         out[pos // 8] ^= 1 << (pos % 8)
-    if isinstance(payload, ShadowCiphertext):
-        return ShadowCiphertext(bytes(out), payload.plaintext)
     return bytes(out)
 
 
@@ -60,13 +52,12 @@ def scramble_payload(
     dest_public: PublicKey,
     rng: np.random.Generator,
     n_flips: int = 8,
-    cost_only: bool = False,
 ) -> tuple[bytes, bytes]:
     """Flip ``n_flips`` random bits; return (scrambled, encrypted bitmap).
 
-    ``cost_only`` replaces the RSA bitmap encryption with a
-    wire-length-exact shadow; the flip positions are drawn from ``rng``
-    either way so the random stream stays aligned with real-crypto runs.
+    The flip positions are drawn from ``rng``; the bitmap is encrypted
+    under ``dest_public``.  An empty payload comes back unchanged with
+    an empty bitmap.
     """
     if not payload:
         return payload, b""
@@ -76,11 +67,7 @@ def scramble_payload(
     )
     scrambled = apply_bit_flips(payload, positions)
     cipher = PublicKeyCipher.for_encryption(dest_public)
-    if cost_only:
-        bitmap_enc: bytes = cipher.encrypt_cost_only(encode_bitmap(positions))
-    else:
-        bitmap_enc = cipher.encrypt(encode_bitmap(positions))
-    return scrambled, bitmap_enc
+    return scrambled, cipher.encrypt(encode_bitmap(positions))
 
 
 def unscramble_payload(

@@ -45,10 +45,6 @@ class NotifyAndGo:
         The back-off window ``[t, t + t0]``.
     cover_size_bytes:
         Size of each neighbor's cover packet.
-    cost_only:
-        Emit wire-length-exact shadow TTL ciphertexts instead of real
-        RSA (see ``AlertConfig.crypto_mode``); back-off and payload
-        draws are unchanged so the random stream stays aligned.
     """
 
     def __init__(
@@ -60,7 +56,6 @@ class NotifyAndGo:
         t: float = 0.002,
         t0: float = 0.02,
         cover_size_bytes: int = 16,
-        cost_only: bool = False,
     ) -> None:
         self.network = network
         self.engine = network.engine
@@ -70,7 +65,6 @@ class NotifyAndGo:
         self.t = t
         self.t0 = t0
         self.cover_size_bytes = cover_size_bytes
-        self.cost_only = cost_only
 
     def anonymity_set_size(self, source: Node) -> int:
         """η + 1: the source plus its live neighbors."""
@@ -118,10 +112,7 @@ class NotifyAndGo:
         # Encrypt TTL=0 under the node's *own* key: no other node will
         # ever find a valid TTL inside, which is the point.
         cipher = PublicKeyCipher.for_encryption(node.keypair.public)
-        if self.cost_only:
-            ttl_enc: bytes = cipher.encrypt_cost_only(b"\x00")
-        else:
-            ttl_enc = cipher.encrypt(b"\x00")
+        ttl_enc = cipher.encrypt(b"\x00")
         self.cost.pubkey_encrypt()
         packet = Packet(
             kind=PacketKind.COVER,

@@ -21,19 +21,18 @@ class IntegrityError(ValueError):
     """Decryption failed authentication (wrong key or tampered data)."""
 
 
+# bench/spans.py wraps both encrypt_cost_only methods by name; drop
+# them, ShadowCiphertext and the shadow branches of decrypt once its
+# SITES no longer list them.
 class ShadowCiphertext(bytes):
-    """Placeholder ciphertext for ``crypto_mode="cost-only"`` runs.
+    """Wire-length-exact placeholder ciphertext; no protocol emits one.
 
-    A real ``bytes`` instance of exactly the wire length the genuine
-    cipher would have produced — packet sizes, MAC timing, and every
-    length-derived metric stay bit-identical — that additionally
-    carries the true plaintext so correct-key decryption can restore
-    it without doing any modular arithmetic.  The crypto *time* is
-    still charged through the cost model by the caller; only the byte
-    crunching is skipped.
+    A ``bytes`` instance of exactly the wire length the genuine cipher
+    would have produced that also carries the true plaintext, so
+    correct-key decryption restores it without modular arithmetic.
 
     Construct with either an ``int`` (zero bytes of that wire length)
-    or existing content bytes (e.g. after bit-flip scrambling).
+    or existing content bytes.
     """
 
     plaintext: bytes

@@ -30,7 +30,7 @@ the ``send_data`` call that originates the flow: the MAC drop hook
 (``runner`` wires ``mac.drop_listener`` straight to :meth:`mac_drop`)
 and the routing layer's link-failure and terminal-drop reports all sit
 on the initiation path whenever crypto processing is charged at zero
-delay (cost-only mode, zero-cost models).  Only the confirmation
+delay (zero-cost crypto models).  Only the confirmation
 timeout always arrives from a separately scheduled timer.  A source
 must therefore be registered *before* the packet is dispatched —
 ``RoutingProtocol.send_data`` exposes the ``on_flow`` hook for exactly

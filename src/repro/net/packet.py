@@ -20,9 +20,8 @@ _packet_ids = itertools.count(1)
 
 #: Header types a branch shares instead of copying.  Exact ``bytes``
 #: (e.g. a cover's TTL ciphertext) is immutable, so sharing it is
-#: indistinguishable from a copy.  Matched by exact type: subclasses
-#: such as :class:`~repro.crypto.cipher.ShadowCiphertext` carry a
-#: mutable attribute and are copied.
+#: indistinguishable from a copy.  Matched by exact type: a ``bytes``
+#: subclass may carry a mutable attribute, so it is copied.
 _SHARED_HEADER_TYPES = frozenset((bytes, type(None)))
 
 
@@ -33,7 +32,7 @@ def clone_header(header: Any) -> Any:
     shared and ``None`` passes through; headers that define a
     ``clone()`` method use it (cheap and type-aware — see e.g.
     :meth:`repro.core.packet_format.AlertHeader.clone`); anything else,
-    ``ShadowCiphertext`` included, is deep-copied.
+    ``bytes`` subclasses included, is deep-copied.
     """
     if type(header) in _SHARED_HEADER_TYPES:
         return header

@@ -140,7 +140,7 @@ class TestHybrid:
 
 
 class TestShadowCiphertext:
-    """Cost-only placeholders must be wire-compatible with real output."""
+    """Shadow placeholders must be wire-compatible with real output."""
 
     @given(pt=st.binary(max_size=200))
     @settings(max_examples=50, deadline=None)

@@ -5,12 +5,6 @@
 pre-optimization kernel.  The optimized engine, vectorized hello
 rounds, and crypto fast path must reproduce every metric — including
 ``events_processed`` and float airtimes via ``repr`` — bit for bit.
-
-The cost-only crypto mode has its own parity contract: the same runs
-with ``crypto_mode="cost-only"`` must match the *real-crypto* golden
-numbers exactly, because the protocol never acts on ciphertext bytes
-that a shadow cannot reproduce (lengths and carried plaintexts cover
-every inspection point).
 """
 
 from __future__ import annotations
@@ -19,8 +13,6 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.experiments.config import ExperimentConfig, TrafficConfig
 from repro.experiments.runner import RunResult, run_experiment
@@ -145,57 +137,3 @@ class TestGoldenTraces:
         assert counts.get("hello", 0) > 0
         assert counts.get("data", 0) > 0
 
-
-class TestCostOnlyParity:
-    @pytest.mark.parametrize(
-        "name", ["alert_rwp", "alert_group_defended"]
-    )
-    def test_cost_only_matches_real_golden(self, name):
-        cfg = GOLDEN_CONFIGS[name]
-        co = cfg.with_(
-            alert_options={**cfg.alert_options, "crypto_mode": "cost-only"}
-        )
-        assert trace_summary(run_experiment(co)) == load_golden()[name]
-
-    @settings(
-        max_examples=6,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        defense=st.booleans(),
-        notify=st.booleans(),
-        confirm=st.booleans(),
-        packet_size=st.sampled_from([64, 512]),
-    )
-    def test_cost_only_parity_property(
-        self, seed, defense, notify, confirm, packet_size
-    ):
-        """Random small configs: cost-only == real on every observable."""
-        base = ExperimentConfig(
-            protocol="ALERT",
-            n_nodes=30,
-            field_size=600.0,
-            duration=5.0,
-            n_pairs=2,
-            seed=seed,
-            packet_size=packet_size,
-            alert_options={
-                "intersection_defense": defense,
-                "notify_and_go": notify,
-                "enable_confirmation": confirm,
-            },
-        )
-        real = run_experiment(base)
-        cost_only = run_experiment(
-            base.with_(
-                alert_options={
-                    **base.alert_options,
-                    "crypto_mode": "cost-only",
-                }
-            )
-        )
-        assert trace_summary(cost_only) == trace_summary(real)
-        assert cost_only.event_counts == real.event_counts
-        assert cost_only.cost.charges == real.cost.charges

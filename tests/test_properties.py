@@ -42,12 +42,29 @@ class TestSystemProperties:
     @given(
         st.sampled_from(["ALERT", "GPSR"]),
         st.integers(0, 10_000),
+        st.fixed_dictionaries(
+            {
+                "intersection_defense": st.booleans(),
+                "notify_and_go": st.booleans(),
+                "enable_confirmation": st.booleans(),
+            }
+        ),
     )
-    def test_bitwise_determinism(self, protocol, seed):
-        """Two runs of the same (config, seed) are indistinguishable."""
-        a = run_experiment(_mini_config(protocol, seed))
-        b = run_experiment(_mini_config(protocol, seed))
+    def test_bitwise_determinism(self, protocol, seed, alert_options):
+        """Two runs of the same (config, seed) are indistinguishable.
+
+        ALERT runs also draw the defense, notify-and-go and
+        confirmation flags, so every combination of the real-crypto
+        paths is covered.
+        """
+        cfg = _mini_config(protocol, seed)
+        if protocol == "ALERT":
+            cfg = cfg.with_(alert_options=alert_options)
+        a = run_experiment(cfg)
+        b = run_experiment(cfg)
         assert _fingerprint(a) == _fingerprint(b)
+        assert a.event_counts == b.event_counts
+        assert a.cost.charges == b.cost.charges
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 10_000))

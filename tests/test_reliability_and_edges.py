@@ -25,16 +25,31 @@ from tests.conftest import build_network
 
 class TestConfigValidation:
     def test_alert_config_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            AlertConfig(k=0)
-        with pytest.raises(ValueError):
-            AlertConfig(h_override=0)
-        with pytest.raises(ValueError):
-            AlertConfig(multicast_m=0)
-        with pytest.raises(ValueError):
-            AlertConfig(notify_t=-1.0)
-        with pytest.raises(ValueError):
-            AlertConfig(notify_t0=0.0)
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            {"k": 0},
+            {"h_override": 0},
+            {"multicast_m": 0},
+            {"notify_t": -1.0},
+            {"notify_t0": 0.0},
+            # accepted before, then failed mid-run or broke routing
+            {"notify_t": nan},
+            {"notify_t": inf},
+            {"notify_t0": inf},
+            {"notify_t0": nan},
+            {"confirmation_timeout": -1.0},
+            {"confirmation_timeout": 0.0},
+            {"confirmation_timeout": nan},
+            {"confirmation_timeout": inf},
+            {"cover_size_bytes": -5},
+            {"cover_size_bytes": 0},
+            {"segment_ttl": 0},
+            {"max_rf_rounds": 0},
+            {"max_resends": -1},
+        ):
+            (name,) = bad
+            with pytest.raises(ValueError, match=name):
+                AlertConfig(**bad)
 
     def test_default_configs_are_sane(self):
         assert GpsrConfig().ttl == 10  # the paper's TTL
