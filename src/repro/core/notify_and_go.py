@@ -102,6 +102,9 @@ class NotifyAndGo:
     def _send_cover(self, node_id: int) -> None:
         """One neighbor emits a cover packet with an encrypted TTL=0."""
         node = self.network.nodes[node_id]
+        if not node.active:
+            # A failed node transmits nothing, covers included.
+            return
         # .astype/.tobytes consumes the stream exactly like the former
         # per-byte int() loop (same integers() call), without the loop.
         payload = (
@@ -132,7 +135,9 @@ class NotifyAndGo:
         "Every node that receives a packet but cannot find a valid TTL
         will try to decrypt the TTL using its own private key" — one
         public-key decryption attempt per receiver, then the packet
-        dies.
+        dies.  ``packet`` is the sender's one cover object, shared by
+        every receiver of the broadcast (no per-receiver fork), so this
+        must not mutate it.
         """
         # cost.pubkey_decrypt() and metrics.note(), inlined: every
         # receiver of every cover broadcast runs this.

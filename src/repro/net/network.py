@@ -409,6 +409,10 @@ class Network:
         of ``packet`` — its own trace list *and* its own header copy,
         so a receiver mutating per-hop routing state cannot corrupt a
         sibling branch, and all of them ride one batched delivery record.
+        A notify-and-go cover (``PacketKind.COVER``) is the exception:
+        every receiver makes one failed TTL decrypt and drops it, so all
+        receivers share ``packet`` itself — one delivery event each,
+        but no fork, and their ids all land on the one shared trace.
         ``restrict_to`` optionally filters the receiver set by node id —
         used by ALERT's destination-zone delivery where only zone members
         process the frame (others drop it at the link layer).
@@ -438,10 +442,14 @@ class Network:
 
         if receivers:
             nodes = self.nodes
+            if packet.kind is PacketKind.COVER:
+                branches = [packet] * len(receivers)
+            else:
+                branches = [packet.fork() for _ in receivers]
             self.engine.schedule_deliver_batch(
                 now + outcome.delay_s,
                 [nodes[rid] for rid in receivers],
-                [packet.fork() for _ in receivers],
+                branches,
                 category=_event_category(packet),
             )
         return receivers

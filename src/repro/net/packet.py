@@ -116,6 +116,10 @@ class Packet:
         ``overrides`` replace dataclass fields of the copy; ``uid`` and
         ``trace`` are fork's own and any other name is rejected, both
         with :class:`TypeError`.
+
+        :meth:`~repro.net.network.Network.local_broadcast` forks once
+        per receiver for every kind except ``COVER``: a cover dies at
+        its first hop unread, so its receivers share the one object.
         """
         d = self.__dict__.copy()
         if overrides:

@@ -35,15 +35,24 @@ nodes beacon in ascending id order, each drawing its pseudonym then its
 position, and each receiver set comes from one
 :meth:`~repro.net.network.Network.neighbors_of` grid query.  Every
 counter and neighbor-table row the batched round produces must match it.
+
+Carrier-sense load
+------------------
+:func:`naive_local_load` is the contract of
+:meth:`repro.net.network.Network._local_load`, which sets every MAC
+collision draw: the number of transmissions still in flight (ending
+strictly after ``now``) whose origin lies within ``cs_range`` of the
+sender, boundary included.  Any cheaper count must match it bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey
+from repro.geometry.primitives import Point
 from repro.geometry.spatial_index import GridIndex
 from repro.net.neighbor_table import NeighborEntry
 
@@ -317,3 +326,27 @@ def scalar_hello_round(net) -> None:
         net.airtime_rx_s += hello_air * len(receivers)
         for rid in receivers:
             net.nodes[rid].neighbors.update(entry)
+
+
+def naive_local_load(
+    entries: Iterable[tuple[float, float, float]],
+    now: float,
+    around: Point,
+    cs_range: float,
+) -> float:
+    """In-flight ``(end, x, y)`` entries within ``cs_range`` of ``around``.
+
+    One full scan with no heap or expiry state: an entry ending at or
+    before ``now`` is over, and a squared distance equal to
+    ``cs_range ** 2`` is in range.
+    """
+    cs2 = cs_range * cs_range
+    count = 0
+    for end, x, y in entries:
+        if end <= now:
+            continue
+        dx = x - around.x
+        dy = y - around.y
+        if dx * dx + dy * dy <= cs2:
+            count += 1
+    return float(count)

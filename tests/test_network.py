@@ -18,7 +18,7 @@ from repro.net.network import Network
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Engine
 from tests.conftest import build_network
-from tests.oracles import NaiveIndex, scalar_hello_round
+from tests.oracles import NaiveIndex, naive_local_load, scalar_hello_round
 
 
 def data_packet(src=0, dst=1, size=512, flow=None):
@@ -284,6 +284,68 @@ class TestBroadcastFanout:
         fan.engine.run()
         seq.engine.run()
         assert logs[0] and logs[0] == logs[1]
+
+
+class TestLocalLoad:
+    """``_local_load`` matches the scalar carrier-sense count exactly."""
+
+    @staticmethod
+    def register(net, entries, x, y, duration):
+        net._register_tx(Point(x, y), duration)
+        entries.append((net.engine.now + duration, x, y))
+
+    @staticmethod
+    def load(net, entries, x, y):
+        got = net._local_load(Point(x, y))
+        assert got == naive_local_load(
+            entries, net.engine.now, Point(x, y), net.cs_range
+        )
+        return got
+
+    def test_entry_ending_now_is_expired(self, static_network):
+        net = static_network
+        entries = []
+        self.register(net, entries, 10.0, 10.0, 0.004)
+        self.register(net, entries, 20.0, 20.0, 0.008)
+        net.engine.run(until=0.004)
+        assert self.load(net, entries, 0.0, 0.0) == 1.0
+        net.engine.run(until=0.008)
+        assert self.load(net, entries, 0.0, 0.0) == 0.0
+
+    def test_entry_exactly_cs_range_away_counts(self, static_network):
+        net = static_network
+        assert net.cs_range == 550.0
+        entries = []
+        self.register(net, entries, 0.0, 0.0, 0.01)
+        # On an axis, and on a 3-4-5 diagonal (330² + 440² = 550²).
+        assert self.load(net, entries, 550.0, 0.0) == 1.0
+        assert self.load(net, entries, 330.0, 440.0) == 1.0
+        assert self.load(net, entries, 550.0, 1e-3) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.002]) | st.floats(0.0, 0.01),
+                st.booleans(),
+                st.floats(-200.0, 800.0),
+                st.floats(-200.0, 800.0),
+                st.sampled_from([0.0, 0.002]) | st.floats(0.0, 0.01),
+            ),
+            max_size=60,
+        )
+    )
+    def test_matches_naive_count(self, ops):
+        """Random positions, durations and query times: every count
+        equals the scalar count over all entries ever registered."""
+        net = build_network(n_nodes=2, static=True)
+        entries = []
+        for dt, is_tx, x, y, duration in ops:
+            net.engine.run(until=net.engine.now + dt)
+            if is_tx:
+                self.register(net, entries, x, y, duration)
+            else:
+                self.load(net, entries, x, y)
 
 
 class TestHello:

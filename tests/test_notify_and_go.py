@@ -89,7 +89,8 @@ class TestNotifyAndGo:
 
     def test_cover_broadcast_fan_out(self):
         """One real cover broadcast: each of η receivers pays exactly one
-        decrypt attempt and gets its own branch."""
+        decrypt attempt, in its own delivery event, and all of them share
+        the sender's one cover object."""
         net = build_network(static=True)
         nag, metrics, cost = make_nag(net)
         sender = 0
@@ -107,6 +108,7 @@ class TestNotifyAndGo:
         rx_before = [n.rx_count for n in net.nodes]
         decrypts = cost.charges.get("pubkey_decrypt", 0)
         attempts = metrics.counters.get("cover_rx_decrypt_attempts", 0)
+        events_before = net.engine.events_processed
 
         nag._send_cover(sender)
         net.engine.run(until=net.engine.now + 0.1)
@@ -117,7 +119,29 @@ class TestNotifyAndGo:
             1 if i in receivers else 0 for i in range(net.n_nodes)
         ]
         assert sorted(rid for rid, _ in branches) == receivers
-        for rid, packet in branches:
-            assert packet.kind is PacketKind.COVER
-            assert packet.trace == [sender, rid]
-        assert len({p.uid for _, p in branches}) == eta
+        cover = branches[0][1]
+        assert cover.kind is PacketKind.COVER
+        assert all(packet is cover for _, packet in branches)
+        assert net.engine.events_processed - events_before == eta
+
+    def test_failed_neighbor_sends_no_cover(self):
+        """A neighbour that failed after the last hello round is still in
+        the source's table, but a dead node transmits nothing."""
+        net = build_network(static=True)
+        net.start_hello()
+        net.engine.run(until=0.5)
+        nag, metrics, cost = make_nag(net)
+        source = net.nodes[0]
+        entries = source.neighbors.live_entries(net.engine.now)
+        eta = len(entries)
+        assert eta >= 2, "test network too sparse"
+        dead = net.nodes[entries[0].link_address]
+        dead.fail()
+        tx_before = dead.tx_count
+
+        nag.run(source, lambda: None)
+        net.engine.run(until=net.engine.now + 0.1)
+
+        assert metrics.counters.get("cover_tx", 0) == eta - 1
+        assert cost.charges.get("pubkey_encrypt", 0) == eta - 1
+        assert dead.tx_count == tx_before
