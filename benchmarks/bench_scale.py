@@ -1,7 +1,7 @@
 """Large-field scaling harness: loop cost per event at N=1000–10000.
 
 The paper's evaluation stops at 200 nodes; the repository's large-N
-fast lane (typed delivery records, batched greedy forwarding,
+fast lane (delivery records, batched greedy forwarding,
 round-batched hello ingest) targets fields an order of magnitude
 bigger.  This harness runs one seeded ALERT simulation per population
 at the paper's density (200 nodes per 1000 m × 1000 m, so the field

@@ -132,6 +132,11 @@ class ExperimentConfig:
             raise ValueError("need at least two nodes")
         if self.n_pairs < 1 or 2 * self.n_pairs > self.n_nodes:
             raise ValueError("n_pairs must fit disjointly into the population")
+        if self.mobility == "group" and not 1 <= self.n_groups <= self.n_nodes:
+            raise ValueError(
+                f"n_groups must be in [1, n_nodes={self.n_nodes}], "
+                f"got {self.n_groups!r}"
+            )
         if not self.speed >= 0:
             raise ValueError("speed must be >= 0")
         for name in _POSITIVE_FIELDS:

@@ -104,11 +104,11 @@ class LocationService:
         One update round is ``N`` records fanned out to ``N_L``
         replicas — ``N·N_L`` stores, the service's dominant cost at
         large ``N``.  Positions for the whole population come from one
-        :func:`positions_at` pass: models are visited in node order, so
-        every trajectory extension draws exactly what per-node
-        ``position(now)`` calls would (and nodes whose trajectory
-        already covers ``now`` draw nothing, same as the warm-cache
-        scalar path).  Each node's position cache is primed with its
+        ``Network.batch_positions`` pass: models are visited in node
+        order, so every trajectory extension draws exactly what
+        per-node ``position(now)`` calls would (and nodes whose
+        trajectory already covers ``now`` draw nothing, same as the
+        warm-cache scalar path).  Each node's position cache is primed with its
         fix, leaving per-node state as the scalar loop would.  Each
         server then adopts the round dict by reference in one
         :meth:`LocationServer.adopt_round` call (copy-on-write against

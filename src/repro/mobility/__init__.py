@@ -7,12 +7,7 @@ trajectory, so ``position(t)`` is exact (no time-stepping error) and
 cheap for monotone time queries.
 """
 
-from repro.mobility.base import (
-    MobilityModel,
-    Trajectory,
-    interpolate_segments,
-    positions_at,
-)
+from repro.mobility.base import MobilityModel, Trajectory, interpolate_segments
 from repro.mobility.group_mobility import GroupMobility, make_group_mobility
 from repro.mobility.random_waypoint import RandomWaypoint
 from repro.mobility.static import StaticPosition
@@ -24,6 +19,5 @@ __all__ = [
     "GroupMobility",
     "make_group_mobility",
     "StaticPosition",
-    "positions_at",
     "interpolate_segments",
 ]

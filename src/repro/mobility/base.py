@@ -24,42 +24,28 @@ class MobilityModel(ABC):
     def position(self, t: float) -> Point:
         """Position of the node at time ``t`` (seconds, ``t >= 0``)."""
 
-    def position_xy(self, t: float) -> tuple[float, float]:
-        """Position at ``t`` as a plain ``(x, y)`` tuple.
-
-        Hot-path variant of :meth:`position` that skips the
-        :class:`~repro.geometry.primitives.Point` allocation; models
-        with trajectory machinery override it.
-        """
-        p = self.position(t)
-        return (p.x, p.y)
-
     def speed(self) -> float:
         """Nominal speed in m/s (0 for static models); diagnostic only."""
         return 0.0
 
     @classmethod
     def fill_positions(
-        cls,
-        models: Sequence["MobilityModel"],
-        t: float,
-        out: np.ndarray,
-        rows: np.ndarray,
+        cls, models: Sequence["MobilityModel"], t: float, out: np.ndarray
     ) -> None:
-        """Write the positions of ``models`` at ``t`` into ``out[rows]``.
+        """Write the positions of ``models`` at ``t`` into ``out``.
 
-        The batch hook behind :func:`positions_at`: subclasses override
-        it with a vectorised implementation over homogeneous model
-        groups.  The fallback loops :meth:`position_xy`, which is
-        correct for any model.  Implementations must visit ``models``
-        in the given order so that shared-RNG trajectory extensions
-        draw in the same sequence as per-node scalar queries.
+        The batch hook :class:`SnapshotInterpolator` uses for
+        populations it cannot cache segment by segment.  This default
+        is the scalar :meth:`position` loop, correct for any mix of
+        models; a class may override it with a vectorised pass over a
+        population of its own instances.  Implementations must visit
+        ``models`` in the given order so that shared-RNG trajectory
+        extensions draw in the same sequence as per-node scalar queries.
         """
         for k, m in enumerate(models):
-            x, y = m.position_xy(t)
-            r = rows[k]
-            out[r, 0] = x
-            out[r, 1] = y
+            p = m.position(t)
+            out[k, 0] = p.x
+            out[k, 1] = p.y
 
 
 def interpolate_segments(segments: Sequence[Segment], t: float) -> np.ndarray:
@@ -95,81 +81,41 @@ def interpolate_segments(segments: Sequence[Segment], t: float) -> np.ndarray:
     return out
 
 
-def positions_at(
-    models: Sequence[MobilityModel], t: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Positions of all ``models`` at time ``t`` as an ``(N, 2)`` array.
-
-    The batch equivalent of ``[m.position(t) for m in models]``:
-    models are grouped by concrete class and dispatched to each class's
-    :meth:`MobilityModel.fill_positions`, so homogeneous populations
-    (the common case — one mobility model per experiment) interpolate
-    the whole snapshot with a handful of NumPy operations instead of N
-    Python calls.  Results are bit-identical to the scalar path.
-
-    Groups are processed in first-appearance order and models within a
-    group in input order, preserving the RNG draw sequence of a plain
-    scalar loop even when models share random streams (RPGM).
-
-    ``out``, when given, must be a float64 ``(N, 2)`` buffer; callers
-    like ``Network.snapshot`` reuse one scratch buffer across refreshes
-    to diff consecutive snapshots without re-allocating.
-    """
-    n = len(models)
-    if out is None:
-        out = np.empty((n, 2), dtype=np.float64)
-    elif out.shape != (n, 2) or out.dtype != np.float64:
-        raise ValueError(
-            f"out must be a float64 ({n}, 2) buffer, "
-            f"got {out.dtype} {out.shape}"
-        )
-    if n == 0:
-        return out
-    first_cls = type(models[0])
-    if all(type(m) is first_cls for m in models):
-        # Homogeneous population: one dispatch, no index gymnastics.
-        first_cls.fill_positions(models, t, out, np.arange(n))
-        return out
-    groups: dict[type, list[int]] = {}
-    for i, m in enumerate(models):
-        groups.setdefault(type(m), []).append(i)
-    for cls_, idxs in groups.items():
-        rows = np.asarray(idxs, dtype=np.intp)
-        cls_.fill_positions([models[i] for i in idxs], t, out, rows)
-    return out
-
-
 class SnapshotInterpolator:
-    """Cached batch interpolation over a fixed model population.
+    """Batch interpolation over a fixed model population.
 
-    :func:`positions_at` re-derives every model's current segment on
-    every call — one Python method call per node per snapshot.  But
-    consecutive snapshot queries are near-monotone and trajectory legs
-    are long (a 2 m/s leg across a 1 km field lasts minutes), so the
-    segment that answered the previous query almost always answers the
-    next one.  This class keeps every model's current segment endpoints
-    in six parallel arrays and only consults a model when its cached
-    segment no longer covers ``t``; the interpolation itself then runs
-    as a handful of whole-array NumPy ops.
+    The one path by which a :class:`~repro.net.network.Network` reads
+    every node's position at once (snapshots, hello rounds, location
+    write rounds).  Consecutive snapshot queries are near-monotone and
+    trajectory legs are long (a 2 m/s leg across a 1 km field lasts
+    minutes), so the segment that answered the previous query almost
+    always answers the next one.  This class keeps every model's
+    current segment endpoints in six parallel arrays and only consults
+    a model when its cached segment no longer covers ``t``; the
+    interpolation itself then runs as a handful of whole-array NumPy
+    ops.
 
-    Results are bit-identical to :func:`positions_at` (same IEEE-754
-    operation order).  Stale rows are refreshed in input order,
-    preserving the RNG draw sequence of the scalar path for models
-    that share random streams.
+    Results are bit-identical to ``[m.position(t) for m in models]``
+    (same IEEE-754 operation order).  Stale rows are refreshed in input
+    order, preserving the RNG draw sequence of the scalar path for
+    models that share random streams.
 
-    Populations containing models whose class does not expose
-    ``current_segment`` (e.g. composite RPGM members) delegate every
-    call to :func:`positions_at` unchanged.
+    A population containing a model whose class does not expose
+    ``current_segment`` (e.g. composite RPGM members) is not cached:
+    every call goes to one :meth:`MobilityModel.fill_positions`, the
+    class's own when the population is a single class (RPGM's
+    vectorised pass), else the scalar default.
     """
 
     def __init__(self, models: Sequence[MobilityModel]) -> None:
         self._models = list(models)
         n = len(self._models)
-        self._delegate = any(
-            getattr(type(m), "current_segment", None) is None
-            for m in self._models
-        )
-        if self._delegate:
+        classes = {type(m) for m in self._models}
+        #: the uncached population's batch hook; None when cached
+        self._fill = None
+        if any(getattr(c, "current_segment", None) is None for c in classes):
+            cls = classes.pop() if len(classes) == 1 else MobilityModel
+            self._fill = cls.fill_positions
             return
         # Initially invalid everywhere: t0 > t for any finite t.
         self._t0 = np.full(n, np.inf)
@@ -180,11 +126,13 @@ class SnapshotInterpolator:
         self._ey = np.zeros(n)
 
     def __call__(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        """Positions of all models at ``t``; same contract as
-        ``positions_at(models, t, out)``."""
+        """Positions of all models at ``t`` as an ``(N, 2)`` array.
+
+        ``out``, when given, must be a float64 ``(N, 2)`` buffer; it is
+        filled and returned, so callers can reuse one scratch buffer
+        across refreshes.
+        """
         n = len(self._models)
-        if self._delegate:
-            return positions_at(self._models, t, out=out)
         if out is None:
             out = np.empty((n, 2), dtype=np.float64)
         elif out.shape != (n, 2) or out.dtype != np.float64:
@@ -192,6 +140,9 @@ class SnapshotInterpolator:
                 f"out must be a float64 ({n}, 2) buffer, "
                 f"got {out.dtype} {out.shape}"
             )
+        if self._fill is not None:
+            self._fill(self._models, t, out)
+            return out
         t0 = self._t0
         t1 = self._t1
         stale = (t0 > t) | (t1 < t)

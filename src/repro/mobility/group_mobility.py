@@ -95,11 +95,7 @@ class GroupMobility(MobilityModel):
 
     @classmethod
     def fill_positions(
-        cls,
-        models: Sequence[MobilityModel],
-        t: float,
-        out: np.ndarray,
-        rows: np.ndarray,
+        cls, models: Sequence[MobilityModel], t: float, out: np.ndarray
     ) -> None:
         """Vectorised RPGM batch snapshot.
 
@@ -120,8 +116,8 @@ class GroupMobility(MobilityModel):
         h = np.array([m.field.height for m in models])  # type: ignore[attr-defined]
         x = centers[:, 0] + locals_[:, 0] - gr
         y = centers[:, 1] + locals_[:, 1] - gr
-        out[rows, 0] = np.minimum(np.maximum(x, 0.0), w)
-        out[rows, 1] = np.minimum(np.maximum(y, 0.0), h)
+        out[:, 0] = np.minimum(np.maximum(x, 0.0), w)
+        out[:, 1] = np.minimum(np.maximum(y, 0.0), h)
 
 
 def make_group_mobility(

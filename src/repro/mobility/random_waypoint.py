@@ -9,18 +9,11 @@ fixed speed (2-8 m/s) with no pause, which corresponds to
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.geometry.field import Field
 from repro.geometry.primitives import Point
-from repro.mobility.base import (
-    MobilityModel,
-    Segment,
-    Trajectory,
-    interpolate_segments,
-)
+from repro.mobility.base import MobilityModel, Segment, Trajectory
 
 
 class RandomWaypoint(MobilityModel):
@@ -92,28 +85,7 @@ class RandomWaypoint(MobilityModel):
             traj.ensure(t, self._extend)
         return traj.at(t)
 
-    def position_xy(self, t: float) -> tuple[float, float]:
-        """Position at ``t`` without the Point allocation of the result."""
-        p = self.position(t)
-        return (p.x, p.y)
-
     def current_segment(self, t: float) -> Segment:
         """The (materialised) trajectory segment covering ``t``."""
         self._traj.ensure(t, self._extend)
         return self._traj.segment_at(t)
-
-    @classmethod
-    def fill_positions(
-        cls,
-        models: Sequence[MobilityModel],
-        t: float,
-        out: np.ndarray,
-        rows: np.ndarray,
-    ) -> None:
-        """Vectorised batch snapshot: one NumPy lerp for all waypoints.
-
-        Trajectories are extended in input order (preserving RNG draw
-        order), then all current segments interpolate in one shot.
-        """
-        segs = [m.current_segment(t) for m in models]  # type: ignore[attr-defined]
-        out[rows] = interpolate_segments(segs, t)

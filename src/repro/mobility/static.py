@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
-import numpy as np
 
 from repro.geometry.primitives import Point
 from repro.mobility.base import MobilityModel, Segment
@@ -20,15 +17,10 @@ class StaticPosition(MobilityModel):
 
     def __init__(self, origin: Point) -> None:
         self._origin = origin
-        self._xy = (origin.x, origin.y)
 
     def position(self, t: float) -> Point:
         """The fixed origin, for any ``t``."""
         return self._origin
-
-    def position_xy(self, t: float) -> tuple[float, float]:
-        """The fixed origin as a plain tuple."""
-        return self._xy
 
     def speed(self) -> float:
         return 0.0
@@ -41,14 +33,3 @@ class StaticPosition(MobilityModel):
         zero-length, infinite-duration leg yields the origin exactly).
         """
         return Segment(0.0, math.inf, self._origin, self._origin)
-
-    @classmethod
-    def fill_positions(
-        cls,
-        models: Sequence[MobilityModel],
-        t: float,
-        out: np.ndarray,
-        rows: np.ndarray,
-    ) -> None:
-        """Batch snapshot: stack the cached origins, no interpolation."""
-        out[rows] = [m._xy for m in models]  # type: ignore[attr-defined]

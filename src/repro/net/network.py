@@ -122,9 +122,9 @@ class Network:
         self._snapshot_index: GridIndex | None = None
         self._snapshot_force_rebuild = False
         self._mobilities = [node.mobility for node in self.nodes]
-        # Segment-cached batch interpolator: bit-identical to
-        # positions_at() but only consults models whose trajectory leg
-        # expired since the previous refresh.
+        # Segment-cached batch interpolator: bit-identical to per-node
+        # position() calls but only consults models whose trajectory
+        # leg expired since the previous refresh.
         self._interpolator = SnapshotInterpolator(self._mobilities)
         #: snapshot maintenance counters (diagnostics / benchmarks)
         self.snapshot_rebuilds = 0
@@ -173,10 +173,10 @@ class Network:
     ) -> np.ndarray:
         """All-population positions at ``t`` via the cached interpolator.
 
-        Bit-identical to ``positions_at`` over every node's mobility
-        model, but only models whose cached trajectory leg expired are
-        consulted in Python — the interpolation itself is a handful of
-        whole-array operations.  Shared by the snapshot path, hello
+        Bit-identical to per-node ``position(t)`` calls, but only
+        models whose cached trajectory leg expired are consulted in
+        Python — the interpolation itself is a handful of whole-array
+        operations.  Shared by the snapshot path, hello
         rounds, and location-service write rounds.
         """
         return self._interpolator(t, out=out)
@@ -375,8 +375,8 @@ class Network:
 
         category = _event_category(packet)
         if outcome.success:
-            self.engine.schedule_deliver(
-                now + outcome.delay_s, receiver, packet, category=category
+            self.engine.schedule_deliver_batch(
+                now + outcome.delay_s, [receiver], [packet], category=category
             )
         elif on_failed is not None:
             self.engine.schedule_in(
@@ -391,8 +391,8 @@ class Network:
                 if listener.active and self.radio.in_range(
                     spos.distance_to(listener.position(now))
                 ):
-                    self.engine.schedule_deliver(
-                        now + outcome.delay_s, listener, prepared,
+                    self.engine.schedule_deliver_batch(
+                        now + outcome.delay_s, [listener], [prepared],
                         category=_event_category(prepared),
                     )
 
@@ -512,7 +512,7 @@ class Network:
         this instant (bit-identical to ``Trajectory.at``, and the
         refresh already extended every trajectory, so the scalar loop
         would have drawn nothing), else batch-interpolated via
-        :func:`positions_at` over the same models in the same order
+        :meth:`batch_positions` over the same models in the same order
         (identical draw sequence).  Per node the stream order is
         pseudonym-then-position, as in the scalar loop; streams are
         per-node (per-group for RPGM, which both passes visit in
@@ -590,7 +590,7 @@ class Network:
                 # Snapshot still fresh from an earlier instant: batch-
                 # interpolate at ``now`` through the segment-cached
                 # interpolator (bit-identical to per-model
-                # ``positions_at``; stale legs extend in ascending node
+                # ``position``; stale legs extend in ascending node
                 # order, the same per-stream draw sequence the scalar
                 # loop and the next snapshot refresh would use).
                 buf = self._hello_pos_buf

@@ -108,9 +108,9 @@ class Node:
         """Seed the :meth:`position` cache with an externally computed fix.
 
         Batched substrate passes (location-service write rounds) evaluate
-        whole populations through ``positions_at`` and hand each node its
-        value here, leaving the cache in the same state a scalar
-        ``position(t)`` call would have.
+        whole populations through ``Network.batch_positions`` and hand
+        each node its value here, leaving the cache in the same state a
+        scalar ``position(t)`` call would have.
         """
         self._pos_at = t
         self._pos_cache = p

@@ -13,28 +13,26 @@ tuples rather than :class:`~repro.sim.events.Event` objects, so every
 sift comparison is a C-level tuple comparison (``seq`` is unique, so
 the trailing non-comparable fields are never reached).  ``run`` is the
 one dispatch loop: it pops and dispatches every entry kind inline,
-with no per-event method call.  Callers that never cancel an event —
-packet deliveries, which dominate the schedule — pass
-``cancellable=False`` and skip the :class:`Event`/:class:`EventHandle`
-allocations entirely.
-Frame deliveries go one step further: :meth:`schedule_deliver` pushes a
-*typed record* ``(time, priority, seq, OP_DELIVER, category, node,
-packet)`` with no callable at all, and the pop loop dispatches it with
-a direct ``node.deliver(packet)`` call — no closure or ``partial``
-allocation per frame on the dominant (``data``) schedule path.
-Cancelled events are counted live, making :meth:`pending` O(1), and
-the heap is compacted once more than half of it is dead so
-cancellation-heavy workloads (retransmit timers) cannot grow it
-unboundedly.
+with no per-event method call.  Callers that never cancel an event
+pass ``cancellable=False`` and skip the :class:`Event`/:class:`EventHandle`
+allocations entirely.  Cancelled events are counted live, making
+:meth:`pending` O(1), and the heap is compacted once more than half of
+it is dead so cancellation-heavy workloads (retransmit timers) cannot
+grow it unboundedly.
 
-Batched delivery records
-------------------------
-Co-temporal broadcast fan-outs (:meth:`schedule_deliver_batch`) ride
-one heap entry that carries the whole receiver block and reserves one
+Delivery records
+----------------
+Frame deliveries, which dominate the schedule, have no callable at
+all.  :meth:`schedule_deliver_batch` pushes one *delivery record*
+``(time, priority, seq, OP_DELIVER_BATCH, category, receivers,
+packets)`` for a co-temporal block — the receivers of a one-hop
+broadcast, or the single receiver of a unicast — and the pop loop
+calls ``receiver.deliver(packet)`` for each record directly, with no
+closure or ``partial`` allocation per frame.  The entry reserves one
 sequence number per record, so the block dispatches back-to-back
-exactly where ``n`` individual records would have fired, at one heap
+exactly where ``n`` individual callbacks would have fired, at one heap
 push/pop for the lot.  ``stop()`` mid-block re-queues the unfired tail
-as individual records under their reserved sequence numbers.
+as one block under its reserved sequence numbers.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import heapq
 from math import isfinite
 from typing import Any, Callable
 
-from repro.sim.events import Event, EventHandle, OP_DELIVER, OP_DELIVER_BATCH
+from repro.sim.events import Event, EventHandle, OP_DELIVER_BATCH
 from repro.sim.rng import RngRegistry
 
 
@@ -74,7 +72,6 @@ class Engine:
         # Heap of (time, priority, seq, fn, category, Event | None).
         self._heap: list[tuple] = []
         self._seq: int = 0
-        self._running: bool = False
         self._stopped: bool = False
         self._n_cancelled: int = 0
         # Records represented by queued batch entries beyond the heap
@@ -155,41 +152,6 @@ class Engine:
             cancellable=cancellable,
         )
 
-    def schedule_deliver(
-        self,
-        time: float,
-        node: Any,
-        packet: Any,
-        priority: int = 0,
-        category: str = "data",
-    ) -> None:
-        """Schedule ``node.deliver(packet)`` as a typed delivery record.
-
-        The fast lane for the dominant schedule entry: no callback, no
-        closure — the pop loop invokes ``deliver`` directly from the
-        heap tuple.  Records are never cancellable and fire in exactly
-        the ``(time, priority, insertion)`` order a ``cancellable=False``
-        callback scheduled at the same point would (the shared ``seq``
-        counter makes the two lanes interleave deterministically).
-
-        Raises
-        ------
-        SimulationError
-            If ``time`` is in the past or not finite.
-        """
-        if not isfinite(time):
-            raise SimulationError(f"non-finite event time {time!r}")
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time:.6f} < now={self._now:.6f}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(
-            self._heap,
-            (time, priority, seq, OP_DELIVER, category, node, packet),
-        )
-
     def schedule_deliver_batch(
         self,
         time: float,
@@ -205,12 +167,13 @@ class Engine:
         rides a single heap entry instead of ``len(targets)`` pushes.
         One sequence number is reserved *per record*, which makes the
         global firing order — including anything scheduled re-entrantly
-        at the same instant — exactly what individual
-        :meth:`schedule_deliver` calls in the same order would produce.
+        at the same instant — exactly what one ``cancellable=False``
+        :meth:`schedule_at` callback per record, in the same order,
+        would produce.  A one-hop unicast is a one-record block.
         ``events_processed``, per-category counts, and :meth:`pending`
         all account per record, and :meth:`stop` between two records of
-        a block re-queues the unfired tail as individual records under
-        their reserved sequence numbers.
+        a block re-queues the unfired tail as one block under its
+        reserved sequence numbers.
 
         Raises
         ------
@@ -233,12 +196,6 @@ class Engine:
             return
         seq = self._seq
         self._seq = seq + n
-        if n == 1:
-            heapq.heappush(
-                self._heap,
-                (time, priority, seq, OP_DELIVER, category, targets[0], packets[0]),
-            )
-            return
         heapq.heappush(
             self._heap,
             (time, priority, seq, OP_DELIVER_BATCH, category, targets, packets),
@@ -259,8 +216,8 @@ class Engine:
         self._n_cancelled += 1
         if 2 * self._n_cancelled > len(self._heap):
             # In place: ``run`` holds a local alias to the heap list.
-            # Typed delivery records (integer opcode in the fn slot)
-            # carry a Node in slot 5 and are never cancellable.
+            # Delivery records (integer opcode in the fn slot) carry a
+            # receiver list in slot 5 and are never cancellable.
             heap = self._heap
             heap[:] = [
                 entry
@@ -282,73 +239,55 @@ class Engine:
         processed and the clock is then advanced to exactly ``until``.
         """
         self._stopped = False
-        self._running = True
         heap = self._heap
         pop = heapq.heappop
         push = heapq.heappush
         counts = self.event_counts
-        try:
-            while heap and not self._stopped:
-                entry = heap[0]
-                time_ = entry[0]
-                if until is not None and time_ > until:
-                    break
-                pop(heap)
-                fn = entry[3]
-                if type(fn) is int:
-                    if fn == OP_DELIVER:
-                        # Typed delivery record (the dominant entry
-                        # kind): one direct method call, no callback
-                        # indirection.
-                        self._now = time_
-                        self.events_processed += 1
-                        category = entry[4]
-                        counts[category] = counts.get(category, 0) + 1
-                        entry[5].deliver(entry[6])
-                        continue
-                    # Batch record: dispatch the co-temporal block
-                    # back-to-back.  Counters move per record, and a
-                    # stop() between records re-queues the unfired
-                    # tail as individual records under their reserved
-                    # sequence numbers.
-                    self._now = time_
-                    targets = entry[5]
-                    packets = entry[6]
-                    n = len(targets)
-                    category = entry[4]
-                    self._batch_extra += 1
-                    j = 0
-                    while j < n:
-                        self._batch_extra -= 1
-                        self.events_processed += 1
-                        counts[category] = counts.get(category, 0) + 1
-                        targets[j].deliver(packets[j])
-                        j += 1
-                        if self._stopped and j < n:
-                            priority = entry[1]
-                            seq0 = entry[2]
-                            for k in range(j, n):
-                                push(
-                                    heap,
-                                    (time_, priority, seq0 + k, OP_DELIVER,
-                                     category, targets[k], packets[k]),
-                                )
-                            self._batch_extra -= n - j
-                            break
-                    continue
-                ev = entry[5]
-                if ev is not None:
-                    if ev.cancelled:
-                        self._n_cancelled -= 1
-                        continue
-                    ev.fired = True
+        while heap and not self._stopped:
+            entry = heap[0]
+            time_ = entry[0]
+            if until is not None and time_ > until:
+                break
+            pop(heap)
+            fn = entry[3]
+            if type(fn) is int:
+                # Delivery record: dispatch the co-temporal block
+                # back-to-back.  Counters move per record, and a stop()
+                # between records re-queues the unfired tail as one
+                # block under its reserved sequence numbers.
                 self._now = time_
-                self.events_processed += 1
+                targets = entry[5]
+                packets = entry[6]
+                n = len(targets)
                 category = entry[4]
-                counts[category] = counts.get(category, 0) + 1
-                fn()
-        finally:
-            self._running = False
+                self._batch_extra += 1
+                j = 0
+                while j < n:
+                    self._batch_extra -= 1
+                    self.events_processed += 1
+                    counts[category] = counts.get(category, 0) + 1
+                    targets[j].deliver(packets[j])
+                    j += 1
+                    if self._stopped and j < n:
+                        push(
+                            heap,
+                            (time_, entry[1], entry[2] + j, OP_DELIVER_BATCH,
+                             category, targets[j:], packets[j:]),
+                        )
+                        self._batch_extra -= 1
+                        break
+                continue
+            ev = entry[5]
+            if ev is not None:
+                if ev.cancelled:
+                    self._n_cancelled -= 1
+                    continue
+                ev.fired = True
+            self._now = time_
+            self.events_processed += 1
+            category = entry[4]
+            counts[category] = counts.get(category, 0) + 1
+            fn()
         if until is not None and not self._stopped and until > self._now:
             self._now = until
 

@@ -5,25 +5,23 @@ are ordered by ``(time, priority, sequence)``: earlier times fire first,
 ties break on explicit priority and then on FIFO insertion order, which
 keeps runs bit-for-bit deterministic for a given seed and schedule.
 
-Typed delivery records
-----------------------
+Delivery records
+----------------
 The dominant schedule entry — a one-hop frame delivery — does not need
 a callback at all: the engine's pop loop can invoke ``node.deliver(
 packet)`` directly from a plain heap tuple.  Such entries carry the
-integer opcode :data:`OP_DELIVER` in the slot a callable normally
+integer opcode :data:`OP_DELIVER_BATCH` in the slot a callable normally
 occupies (``type(entry[3]) is int`` is the lane discriminator), plus
-the receiver and packet in two trailing slots, eliminating the closure
-and argument-cell allocations a per-frame callback would cost.  Ordering
-is unchanged — records compare by the same ``(time, priority, seq)``
-prefix, and ``seq`` is unique so comparisons never reach the opcode.
-
-:data:`OP_DELIVER_BATCH` extends the idea to co-temporal fan-outs: a
-one-hop broadcast's receivers all hear the frame at the same
-``(time, priority)``, so the whole block rides one heap entry whose
-trailing slots hold the receiver and packet *lists*.  The entry
-reserves one sequence number per record (``seq .. seq + n - 1``), so
-its position in the global order — and the order of anything scheduled
-after it — is exactly what ``n`` individual records would produce.
+equal-length receiver and packet *lists* in two trailing slots,
+eliminating the closure and argument-cell allocations a per-frame
+callback would cost.  A one-hop broadcast's receivers all hear the
+frame at the same ``(time, priority)``, so the whole block rides one
+entry; a unicast is a one-record block.  The entry reserves one
+sequence number per record (``seq .. seq + n - 1``), so its position in
+the global order — and the order of anything scheduled after it — is
+exactly what ``n`` individual entries would produce.  Records compare
+by the same ``(time, priority, seq)`` prefix as callbacks, and ``seq``
+is unique so comparisons never reach the opcode.
 """
 
 from __future__ import annotations
@@ -31,10 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-#: Opcode of a typed delivery record: ``entry[5].deliver(entry[6])``.
-OP_DELIVER: int = 0
-
-#: Opcode of a batched delivery record: ``entry[5]`` / ``entry[6]`` are
+#: Opcode of a delivery record: ``entry[5]`` / ``entry[6]`` are
 #: equal-length lists of receivers and packets dispatched as one block.
 OP_DELIVER_BATCH: int = 1
 

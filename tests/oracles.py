@@ -36,6 +36,14 @@ position, and each receiver set comes from one
 :meth:`~repro.net.network.Network.neighbors_of` grid query.  Every
 counter and neighbor-table row the batched round produces must match it.
 
+Mobility
+--------
+:func:`scalar_positions` is the one-model-at-a-time snapshot that
+:class:`repro.mobility.base.SnapshotInterpolator` batches: one
+``position(t)`` call per model in input order.  Every batch snapshot
+must match it bit for bit, and querying it draws from shared RNG
+streams (RPGM) in the order the batch path must reproduce.
+
 Carrier-sense load
 ------------------
 :func:`naive_local_load` is the contract of
@@ -326,6 +334,16 @@ def scalar_hello_round(net) -> None:
         net.airtime_rx_s += hello_air * len(receivers)
         for rid in receivers:
             net.nodes[rid].neighbors.update(entry)
+
+
+def scalar_positions(models: Sequence, t: float) -> np.ndarray:
+    """Positions of ``models`` at ``t`` as an ``(n, 2)`` float64 array."""
+    out = np.empty((len(models), 2), dtype=np.float64)
+    for k, m in enumerate(models):
+        p = m.position(t)
+        out[k, 0] = p.x
+        out[k, 1] = p.y
+    return out
 
 
 def naive_local_load(

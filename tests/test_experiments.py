@@ -47,6 +47,11 @@ class TestConfig:
             ExperimentConfig(speed=-1)
         with pytest.raises(ValueError, match=r"^speed must be >= 0"):
             ExperimentConfig(speed=float("nan"))
+        for n_groups in (0, -1, 300):
+            with pytest.raises(ValueError, match=r"^n_groups must be in"):
+                ExperimentConfig(mobility="group", n_groups=n_groups, n_nodes=200)
+        # n_groups is ignored by the other mobility models
+        ExperimentConfig(mobility="rwp", n_groups=0)
 
     @pytest.mark.parametrize(
         "name",

@@ -41,7 +41,7 @@ GOLDEN_CONFIGS = {
             "enable_confirmation": True,
         },
     ),
-    # Large-field config guarding the 1k-node fast lane (typed delivery
+    # Large-field config guarding the 1k-node fast lane (delivery
     # records, batched greedy forwarding, round-batched hello ingest) at
     # the paper's density scaled to 1000 nodes.
     "alert_rwp_1k": ExperimentConfig(

@@ -4,13 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.field import Field
 from repro.geometry.primitives import Point
-from repro.mobility.base import Segment, Trajectory
+from repro.mobility.base import (
+    MobilityModel,
+    Segment,
+    SnapshotInterpolator,
+    Trajectory,
+)
 from repro.mobility.group_mobility import GroupMobility, GroupReference, make_group_mobility
 from repro.mobility.random_waypoint import RandomWaypoint
 from repro.mobility.static import StaticPosition
+from tests.oracles import scalar_positions
 
 
 class TestSegment:
@@ -186,7 +194,8 @@ class TestGroupMobility:
 
 
 class TestBatchPositions:
-    """positions_at must be bit-identical to the scalar position() path."""
+    """SnapshotInterpolator must be bit-identical to the scalar
+    position() path on every kind of population."""
 
     @staticmethod
     def _rwp_population(n, seed):
@@ -197,71 +206,116 @@ class TestBatchPositions:
         ]
 
     def test_rwp_batch_matches_scalar(self):
-        from repro.mobility.base import positions_at
-
         scalar_pop = self._rwp_population(25, 100)
-        batch_pop = self._rwp_population(25, 100)
+        interp = SnapshotInterpolator(self._rwp_population(25, 100))
         for t in (0.0, 3.5, 120.0, 40.0, 700.0):
-            expected = np.array(
-                [[*m.position(t)] for m in scalar_pop]
-            )
-            got = positions_at(batch_pop, t)
+            expected = scalar_positions(scalar_pop, t)
+            got = interp(t)
             assert got.shape == (25, 2)
             np.testing.assert_array_equal(got, expected)
 
     def test_static_batch_matches_scalar(self):
-        from repro.mobility.base import positions_at
-
         pts = [Point(float(i), float(2 * i)) for i in range(10)]
-        models = [StaticPosition(p) for p in pts]
-        got = positions_at(models, 42.0)
+        interp = SnapshotInterpolator([StaticPosition(p) for p in pts])
+        got = interp(42.0)
         expected = np.array([[p.x, p.y] for p in pts])
         np.testing.assert_array_equal(got, expected)
 
     def test_group_batch_matches_scalar(self):
-        from repro.mobility.base import positions_at
-
         fld = Field(1000, 1000)
         scalar_pop = make_group_mobility(
             fld, 18, 4, 150.0, np.random.default_rng(55)
         )
-        batch_pop = make_group_mobility(
-            fld, 18, 4, 150.0, np.random.default_rng(55)
+        interp = SnapshotInterpolator(
+            make_group_mobility(fld, 18, 4, 150.0, np.random.default_rng(55))
         )
         # Same query sequence on both populations: RPGM members share
         # one RNG stream, so draw order must match between paths.
         for t in (0.0, 5.0, 90.0, 30.0, 400.0):
-            expected = np.array([[*m.position(t)] for m in scalar_pop])
-            got = positions_at(batch_pop, t)
-            np.testing.assert_array_equal(got, expected)
+            expected = scalar_positions(scalar_pop, t)
+            np.testing.assert_array_equal(interp(t), expected)
 
     def test_mixed_population_dispatch(self):
-        from repro.mobility.base import positions_at
-
         fld = Field(500, 500)
         models = [
             StaticPosition(Point(1.0, 2.0)),
             RandomWaypoint(fld, np.random.default_rng(9)),
             StaticPosition(Point(3.0, 4.0)),
         ]
-        got = positions_at(models, 12.0)
-        expected = np.array([[*m.position(12.0)] for m in models])
-        np.testing.assert_array_equal(got, expected)
+        interp = SnapshotInterpolator(models)
+        assert interp._fill is None  # every class is segment-capable
+        got = interp(12.0)
+        np.testing.assert_array_equal(got, scalar_positions(models, 12.0))
+        # A static + RPGM mix cannot be cached and is not one class:
+        # it takes the scalar default.
+        mixed = _static_group_mix(np.random.default_rng(4))
+        interp = SnapshotInterpolator(mixed)
+        assert interp._fill == MobilityModel.fill_positions
+        reference = _static_group_mix(np.random.default_rng(4))
+        for t in (12.0, 3.0, 80.0):
+            np.testing.assert_array_equal(
+                interp(t), scalar_positions(reference, t)
+            )
 
     def test_empty_population(self):
-        from repro.mobility.base import positions_at
-
-        out = positions_at([], 1.0)
+        out = SnapshotInterpolator([])(1.0)
         assert out.shape == (0, 2)
+        assert scalar_positions([], 1.0).shape == (0, 2)
 
     def test_batch_then_scalar_consistent(self):
-        from repro.mobility.base import positions_at
-
         pop = self._rwp_population(8, 7)
-        got = positions_at(pop, 60.0)
+        got = SnapshotInterpolator(pop)(60.0)
         for row, m in zip(got, pop):
             p = m.position(60.0)
             assert (row[0], row[1]) == (p.x, p.y)
+
+
+def _static_group_mix(rng):
+    """Four static nodes interleaved with a two-group RPGM population."""
+    fld = Field(1000, 1000)
+    members = make_group_mobility(fld, 8, 2, 150.0, rng)
+    statics = [StaticPosition(Point(100.0 * k, 50.0 * k)) for k in range(4)]
+    mixed = []
+    for k, m in enumerate(members):
+        if k % 2 == 0:
+            mixed.append(statics[k // 2])
+        mixed.append(m)
+    return mixed
+
+
+def _population(kind, seed):
+    fld = Field(1000, 1000)
+    if kind == "rwp":
+        return [
+            RandomWaypoint(fld, np.random.default_rng(seed + i))
+            for i in range(12)
+        ]
+    if kind == "static":
+        rng = np.random.default_rng(seed)
+        return [StaticPosition(fld.random_point(rng)) for _ in range(12)]
+    if kind == "rpgm":
+        return make_group_mobility(fld, 12, 3, 150.0, np.random.default_rng(seed))
+    return _static_group_mix(np.random.default_rng(seed))
+
+
+@settings(max_examples=25)
+@given(
+    kind=st.sampled_from(["rwp", "static", "rpgm", "static+rpgm"]),
+    seed=st.integers(0, 2**16),
+    times=st.lists(
+        st.floats(0.0, 600.0, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_interpolator_matches_scalar_positions_property(kind, seed, times):
+    """Two populations from one seed: one queried through the
+    interpolator, the other through the scalar oracle, on an arbitrary
+    (non-monotone) query sequence, agree bit for bit at every query."""
+    interp = SnapshotInterpolator(_population(kind, seed))
+    reference = _population(kind, seed)
+    for t in times:
+        np.testing.assert_array_equal(interp(t), scalar_positions(reference, t))
 
 
 class TestInterpolateSegments:
@@ -286,7 +340,7 @@ class TestInterpolateSegments:
 
 
 class TestSnapshotInterpolator:
-    """SnapshotInterpolator must be bit-identical to positions_at."""
+    """Segment caching, dispatch and buffer handling."""
 
     @staticmethod
     def _rwp_population(n, seed):
@@ -296,22 +350,18 @@ class TestSnapshotInterpolator:
             for i in range(n)
         ]
 
-    def test_rwp_cached_matches_positions_at(self):
-        from repro.mobility.base import SnapshotInterpolator, positions_at
-
+    def test_rwp_cached_matches_scalar_positions(self):
         plain_pop = self._rwp_population(25, 300)
         cached_pop = self._rwp_population(25, 300)
         interp = SnapshotInterpolator(cached_pop)
         # Near-monotone with one backward jump (cache-hit, cache-miss
         # and bisect-refresh paths all exercised).
         for t in (0.0, 0.2, 0.4, 55.0, 55.2, 54.9, 700.0):
-            expected = positions_at(plain_pop, t)
+            expected = scalar_positions(plain_pop, t)
             got = interp(t)
             np.testing.assert_array_equal(got, expected)
 
     def test_static_population_cached(self):
-        from repro.mobility.base import SnapshotInterpolator
-
         pts = [Point(float(i), float(2 * i)) for i in range(10)]
         interp = SnapshotInterpolator([StaticPosition(p) for p in pts])
         expected = np.array([[p.x, p.y] for p in pts])
@@ -319,8 +369,6 @@ class TestSnapshotInterpolator:
             np.testing.assert_array_equal(interp(t), expected)
 
     def test_group_population_delegates(self):
-        from repro.mobility.base import SnapshotInterpolator, positions_at
-
         fld = Field(1000, 1000)
         plain_pop = make_group_mobility(
             fld, 18, 4, 150.0, np.random.default_rng(77)
@@ -329,15 +377,15 @@ class TestSnapshotInterpolator:
             fld, 18, 4, 150.0, np.random.default_rng(77)
         )
         interp = SnapshotInterpolator(cached_pop)
-        assert interp._delegate  # composite RPGM members have no segment
+        # composite RPGM members have no segment: the class's own
+        # vectorised pass answers every call
+        assert interp._fill == GroupMobility.fill_positions
         for t in (0.0, 5.0, 90.0, 30.0, 400.0):
             np.testing.assert_array_equal(
-                interp(t), positions_at(plain_pop, t)
+                interp(t), scalar_positions(plain_pop, t)
             )
 
     def test_out_buffer_reuse_and_validation(self):
-        from repro.mobility.base import SnapshotInterpolator
-
         pop = self._rwp_population(6, 11)
         interp = SnapshotInterpolator(pop)
         buf = np.empty((6, 2), dtype=np.float64)
@@ -350,8 +398,6 @@ class TestSnapshotInterpolator:
     def test_matches_scalar_position_path(self):
         pop_a = self._rwp_population(12, 42)
         pop_b = self._rwp_population(12, 42)
-        from repro.mobility.base import SnapshotInterpolator
-
         interp = SnapshotInterpolator(pop_a)
         for t in (0.0, 1.0, 2.0, 300.0):
             got = interp(t)

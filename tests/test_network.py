@@ -12,13 +12,17 @@ from hypothesis import strategies as st
 from repro.geometry.field import Field
 from repro.geometry.primitives import Point
 from repro.geometry.spatial_index import GridIndex
-from repro.mobility.base import positions_at
 from repro.mobility.static import StaticPosition
 from repro.net.network import Network
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Engine
 from tests.conftest import build_network
-from tests.oracles import NaiveIndex, naive_local_load, scalar_hello_round
+from tests.oracles import (
+    NaiveIndex,
+    naive_local_load,
+    scalar_hello_round,
+    scalar_positions,
+)
 
 
 def data_packet(src=0, dst=1, size=512, flow=None):
@@ -54,7 +58,7 @@ class TestSnapshots:
         ) == refreshes + 1
         np.testing.assert_array_equal(
             pos,
-            positions_at(small_network._mobilities, small_network.engine.now),
+            scalar_positions(small_network._mobilities, small_network.engine.now),
         )
 
     def test_neighbors_symmetric(self, static_network):

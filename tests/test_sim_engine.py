@@ -224,7 +224,7 @@ class TestCategories:
 
 
 class _StubNode:
-    """Minimal delivery target for typed-record tests."""
+    """Minimal delivery target for delivery-record tests."""
 
     def __init__(self, log, name="n"):
         self.log = log
@@ -235,12 +235,13 @@ class _StubNode:
 
 
 class TestDeliveryRecords:
-    """The typed delivery-record lane (``schedule_deliver``)."""
+    """One-record delivery blocks (``schedule_deliver_batch``), the
+    form every unicast delivery takes."""
 
     def test_record_dispatches_node_deliver(self):
         eng = Engine()
         log = []
-        eng.schedule_deliver(1.0, _StubNode(log), "pkt", category="data")
+        eng.schedule_deliver_batch(1.0, [_StubNode(log)], ["pkt"], category="data")
         eng.run()
         assert log == [("n", "pkt")]
         assert eng.events_processed == 1
@@ -251,16 +252,17 @@ class TestDeliveryRecords:
         eng.schedule_at(5.0, lambda: None)
         eng.run()
         with pytest.raises(SimulationError):
-            eng.schedule_deliver(1.0, _StubNode([]), "pkt")
+            eng.schedule_deliver_batch(1.0, [_StubNode([])], ["pkt"])
         with pytest.raises(SimulationError):
-            eng.schedule_deliver(float("nan"), _StubNode([]), "pkt")
+            eng.schedule_deliver_batch(float("nan"), [_StubNode([])], ["pkt"])
 
     def test_records_survive_heap_compaction(self):
-        # Compaction filters cancelled events in place; typed records
-        # (integer opcode, no Event object) must never be dropped.
+        # Compaction filters cancelled events in place; delivery
+        # records (integer opcode, no Event object) must never be
+        # dropped.
         eng = Engine()
         log = []
-        eng.schedule_deliver(100.0, _StubNode(log), "pkt")
+        eng.schedule_deliver_batch(100.0, [_StubNode(log)], ["pkt"])
         for _ in range(20):
             batch = [eng.schedule_at(50.0, lambda: None) for _ in range(100)]
             for h in batch:
@@ -272,9 +274,9 @@ class TestDeliveryRecords:
 class TestReEntrantSameTimeOrder:
     """Work scheduled at ``time == now`` *during* ``run`` fires within
     the same run, after already-queued same-time events, in
-    ``(priority, insertion)`` order — for the legacy callback lane, the
-    typed record lane, and any interleaving of the two (the shared
-    ``seq`` counter is what keeps the lanes from racing)."""
+    ``(priority, insertion)`` order — for callbacks, delivery records,
+    and any interleaving of the two (the shared ``seq`` counter is what
+    keeps the lanes from racing)."""
 
     def test_callback_lane(self):
         eng = Engine()
@@ -299,13 +301,13 @@ class TestReEntrantSameTimeOrder:
         class _Spawning:
             def deliver(self, packet):
                 log.append(("spawn", packet))
-                eng.schedule_deliver(1.0, _StubNode(log, "b"), "late")
-                eng.schedule_deliver(
-                    1.0, _StubNode(log, "a"), "urgent", priority=-1
+                eng.schedule_deliver_batch(1.0, [_StubNode(log, "b")], ["late"])
+                eng.schedule_deliver_batch(
+                    1.0, [_StubNode(log, "a")], ["urgent"], priority=-1
                 )
 
-        eng.schedule_deliver(1.0, _Spawning(), "first")
-        eng.schedule_deliver(1.0, _StubNode(log, "q"), "queued")
+        eng.schedule_deliver_batch(1.0, [_Spawning()], ["first"])
+        eng.schedule_deliver_batch(1.0, [_StubNode(log, "q")], ["queued"])
         eng.run()
         assert log == [
             ("spawn", "first"),
@@ -320,13 +322,13 @@ class TestReEntrantSameTimeOrder:
 
         def spawner():
             order.append("cb-spawner")
-            eng.schedule_deliver(
-                1.0, _StubNode(order, "rec-spawned"), "p"
+            eng.schedule_deliver_batch(
+                1.0, [_StubNode(order, "rec-spawned")], ["p"]
             )
             eng.schedule_at(1.0, lambda: order.append("cb-spawned"))
 
         eng.schedule_at(1.0, spawner)
-        eng.schedule_deliver(1.0, _StubNode(order, "rec-queued"), "p")
+        eng.schedule_deliver_batch(1.0, [_StubNode(order, "rec-queued")], ["p"])
         eng.schedule_at(1.0, lambda: order.append("cb-queued"))
         eng.run()
         assert order == [
@@ -367,7 +369,7 @@ class TestSynchronousFeedbackOrder:
         fb.register(1, listener)
         fb.register(2, listener)
         eng.schedule_at(1.0, lambda: fb.mac_drop(1, eng.now))
-        eng.schedule_deliver(1.0, _StubNode(order, "node"), "pkt")
+        eng.schedule_deliver_batch(1.0, [_StubNode(order, "node")], ["pkt"])
         eng.schedule_at(1.0, lambda: order.append("plain"))
         eng.schedule_at(2.0, lambda: fb.delivery(2, eng.now))
         before = eng.events_processed

@@ -6,13 +6,12 @@ import numpy as np
 
 from repro.geometry.field import Field
 from repro.geometry.spatial_index import GridIndex
-from repro.mobility.base import positions_at
 from repro.mobility.random_waypoint import RandomWaypoint
 from repro.net.network import Network
 from repro.sim.engine import Engine
 
 from tests.conftest import build_network
-from tests.oracles import NaiveIndex, assert_same_answers
+from tests.oracles import NaiveIndex, assert_same_answers, scalar_positions
 
 
 def _make_network(n_nodes=60, speed=2.0, snapshot_resolution=0.2, seed=9):
@@ -30,7 +29,7 @@ def _make_network(n_nodes=60, speed=2.0, snapshot_resolution=0.2, seed=9):
 def _assert_snapshot_correct(net: Network) -> None:
     """The cached snapshot equals a from-scratch build at ``now``."""
     pos, index = net.snapshot()
-    expected = positions_at([n.mobility for n in net.nodes], net.engine.now)
+    expected = scalar_positions([n.mobility for n in net.nodes], net.engine.now)
     np.testing.assert_array_equal(pos, expected)
     fresh = GridIndex(expected.copy(), net.radio.range_m)
     naive = NaiveIndex(expected, net.radio.range_m)
