@@ -1,8 +1,9 @@
 """Golden-trace determinism suite for the per-run simulation kernel.
 
-``tests/data/golden_traces.json`` records three seeded end-to-end runs
-(ALERT/RWP, GPSR/RWP, ALERT/RPGM with every defense on) captured on the
-pre-optimization kernel.  The optimized engine, vectorized hello
+``tests/data/golden_traces.json`` records seeded end-to-end runs of
+every protocol (ALERT at several scales, with every defense on and
+under closed-loop traffic; GPSR, ALARM, AO2P and ZAP), each captured
+before the change it guards.  The optimized engine, vectorized hello
 rounds, and crypto fast path must reproduce every metric — including
 ``events_processed`` and float airtimes via ``repr`` — bit for bit.
 """
@@ -25,6 +26,23 @@ GOLDEN_CONFIGS = {
     ),
     "gpsr_rwp": ExperimentConfig(
         protocol="GPSR", n_nodes=100, duration=20.0, n_pairs=5, seed=2
+    ),
+    # The GPSR-based comparison protocols, each routing through the
+    # shared greedy/perimeter step and hop-retry rule of
+    # ``repro.routing.gpsr`` toward its own target.  The 1500 m field
+    # is sparse enough that every run enters perimeter mode and retries
+    # failed hops (at the default 1000 m no seed from 1 to 8 did).
+    "alarm_rwp": ExperimentConfig(
+        protocol="ALARM", n_nodes=100, field_size=1500.0, duration=20.0,
+        n_pairs=5, seed=5,
+    ),
+    "ao2p_rwp": ExperimentConfig(
+        protocol="AO2P", n_nodes=100, field_size=1500.0, duration=20.0,
+        n_pairs=5, seed=2,
+    ),
+    "zap_rwp": ExperimentConfig(
+        protocol="ZAP", n_nodes=100, field_size=1500.0, duration=20.0,
+        n_pairs=5, seed=2,
     ),
     "alert_group_defended": ExperimentConfig(
         protocol="ALERT",
