@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import PROTOCOLS, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.tables import format_kv_block
 
@@ -23,8 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-sim",
         description="Run one ALERT-paper simulation and print its metrics.",
     )
-    p.add_argument("--protocol", default="ALERT",
-                   choices=["ALERT", "GPSR", "ALARM", "AO2P"])
+    p.add_argument("--protocol", default="ALERT", choices=PROTOCOLS)
     p.add_argument("--nodes", type=int, default=200)
     p.add_argument("--field", type=float, default=1000.0,
                    help="field side length in metres")

@@ -64,6 +64,10 @@ _POSITIVE_FIELDS = (
 )
 
 
+#: Every routing protocol a run can use (ALERT and its §5 baselines).
+PROTOCOLS = ("ALERT", "GPSR", "ALARM", "AO2P", "ZAP")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One simulation's parameters.
@@ -75,7 +79,7 @@ class ExperimentConfig:
     Parameters
     ----------
     protocol:
-        One of ``"ALERT"``, ``"GPSR"``, ``"ALARM"``, ``"AO2P"``.
+        One of :data:`PROTOCOLS`.
     mobility:
         ``"rwp"`` (random waypoint), ``"group"`` (RPGM), or
         ``"static"``.
@@ -124,7 +128,7 @@ class ExperimentConfig:
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
 
     def __post_init__(self) -> None:
-        if self.protocol not in ("ALERT", "GPSR", "ALARM", "AO2P", "ZAP"):
+        if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.mobility not in ("rwp", "group", "static"):
             raise ValueError(f"unknown mobility model {self.mobility!r}")

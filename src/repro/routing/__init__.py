@@ -1,8 +1,10 @@
-"""Routing protocols: the GPSR baseline and the two anonymous
-comparison protocols from the paper's evaluation (ALARM, AO2P).
+"""Routing protocols: the GPSR baseline, the two anonymous comparison
+protocols from the paper's evaluation (ALARM, AO2P) and ZAP, §3.3's
+comparison point against intersection attacks.  ALARM, AO2P and ZAP
+forward with GPSR's greedy/perimeter step toward a target of their own.
 
 ALERT itself lives in :mod:`repro.core` (it is the paper's
-contribution); all four share the :class:`RoutingProtocol` interface
+contribution); all five share the :class:`RoutingProtocol` interface
 so the experiment harness can swap them freely.
 """
 

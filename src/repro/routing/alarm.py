@@ -18,22 +18,22 @@ Model
   announcement and one verification per reception to the crypto cost
   model and store a per-round global map snapshot — the aggregation
   messages themselves ride inside the counted announcements.
-* Data routing is greedy geographic toward the destination's *mapped*
-  (up to 30 s stale) position, using live neighbor tables for the
-  actual hop; each hop performs one public-key verification, charged
+* Data routing is GPSR (:class:`~repro.routing.gpsr.GpsrProtocol`'s
+  greedy/perimeter step and hop-retry rule) toward the destination's
+  *mapped* (up to 30 s stale) position, using live neighbor tables for
+  the actual hop; each hop performs one public-key verification, charged
   as simulated latency — the source of ALARM's high latency in
   Fig. 14a.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.geometry.primitives import Point
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
-from repro.routing.base import RoutingProtocol
-from repro.routing.gpsr import next_hop_greedy, next_hop_right_hand
+from repro.routing.gpsr import GpsrHeader, GpsrProtocol
 from repro.sim.process import PeriodicTask
 
 
@@ -56,32 +56,17 @@ class AlarmConfig:
     max_forward_retries: int = 3
 
 
-@dataclass
-class AlarmHeader:
-    """Per-packet ALARM routing state."""
-
-    target: Point
-    dst_addr: int
-    ttl: int
-    mode: str = "greedy"
-    perimeter_entry: Point | None = None
-    prev_pos: Point | None = None
-    retries: int = 0
-
-    def clone(self) -> "AlarmHeader":
-        """Independent copy for a broadcast branch (fields immutable)."""
-        return replace(self)
-
-
-class AlarmProtocol(RoutingProtocol):
+class AlarmProtocol(GpsrProtocol):
     """The ALARM comparison protocol."""
 
     name = "ALARM"
 
     def __init__(self, network, location, metrics=None, cost_model=None,
                  config: AlarmConfig | None = None) -> None:
-        super().__init__(network, location, metrics, cost_model)
-        self.config = config if config is not None else AlarmConfig()
+        super().__init__(
+            network, location, metrics, cost_model,
+            config if config is not None else AlarmConfig(),
+        )
         #: the "secure map": node id -> position as of the last round
         self.secure_map: dict[int, Point] = {}
         self.dissemination_rounds = 0
@@ -138,7 +123,7 @@ class AlarmProtocol(RoutingProtocol):
         if target is None:  # pragma: no cover - map always complete here
             self._dropped(packet, "unknown-destination")
             return
-        packet.header = AlarmHeader(
+        packet.header = GpsrHeader(
             target=target, dst_addr=packet.dst, ttl=self.config.ttl
         )
         node = self.network.nodes[packet.src]
@@ -150,7 +135,7 @@ class AlarmProtocol(RoutingProtocol):
 
     def _dispatch(self, node: Node, packet: Packet) -> None:
         if packet.kind is not PacketKind.DATA or not isinstance(
-            packet.header, AlarmHeader
+            packet.header, GpsrHeader
         ):
             return
         packet.header.retries = 0
@@ -158,71 +143,3 @@ class AlarmProtocol(RoutingProtocol):
         # processing — the per-hop public-key cost of Fig. 14a.
         delay = self.cost.verify()
         self._after_crypto(packet, delay, lambda: self._forward(node, packet))
-
-    def _forward(self, node: Node, packet: Packet) -> None:
-        hdr: AlarmHeader = packet.header
-        if node.id == hdr.dst_addr:
-            self._delivered(packet)
-            return
-        if hdr.ttl <= 0:
-            self._dropped(packet, "ttl-exhausted")
-            return
-        now = self.engine.now
-        self_pos = node.position(now)
-        entries = node.neighbors.live_entries(now)
-
-        direct = next((e for e in entries if e.link_address == hdr.dst_addr), None)
-        if direct is not None:
-            self._transmit(node, direct, packet, self_pos)
-            return
-
-        if hdr.mode == "perimeter":
-            assert hdr.perimeter_entry is not None
-            if self_pos.distance_to(hdr.target) < hdr.perimeter_entry.distance_to(
-                hdr.target
-            ):
-                hdr.mode = "greedy"
-                hdr.perimeter_entry = None
-
-        if hdr.mode == "greedy":
-            choice = next_hop_greedy(self_pos, hdr.target, entries)
-            if choice is None:
-                hdr.mode = "perimeter"
-                hdr.perimeter_entry = self_pos
-                choice = next_hop_right_hand(
-                    self_pos, hdr.prev_pos or hdr.target, entries
-                )
-        else:
-            choice = next_hop_right_hand(
-                self_pos, hdr.prev_pos or hdr.target, entries
-            )
-
-        if choice is None:
-            self._dropped(packet, "no-neighbors")
-            return
-        self._transmit(node, choice, packet, self_pos)
-
-    def _transmit(self, node: Node, choice, packet: Packet, self_pos: Point) -> None:
-        hdr: AlarmHeader = packet.header
-        hdr.ttl -= 1
-        hdr.prev_pos = self_pos
-        self._mark_participant(packet, node.id)
-        self.network.unicast(
-            node.id,
-            choice.link_address,
-            packet,
-            on_failed=lambda reason, c=choice: self._on_link_failure(
-                node, c, packet, reason
-            ),
-            flow=packet.flow_id,
-        )
-
-    def _on_link_failure(self, node: Node, choice, packet: Packet, reason: str) -> None:
-        hdr: AlarmHeader = packet.header
-        node.neighbors.remove(choice.link_address)
-        hdr.retries += 1
-        hdr.ttl += 1
-        if hdr.retries > self.config.max_forward_retries:
-            self._dropped(packet, f"link-failure:{reason}")
-            return
-        self._forward(node, packet)

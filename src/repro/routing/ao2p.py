@@ -10,9 +10,11 @@ lead to long path length with higher routing cost than GPSR."
 
 Model
 -----
-* The routing target is the *proxy destination*: the point on the ray
-  S→D extended ``proxy_extension_m`` beyond D, clamped to the field,
-  so the real destination's position never appears in the packet.
+* Routing is GPSR (:class:`~repro.routing.gpsr.GpsrProtocol`'s
+  greedy/perimeter step and hop-retry rule) toward the *proxy
+  destination*: the point on the ray S→D extended
+  ``proxy_extension_m`` beyond D, clamped to the field, so the real
+  destination's position never appears in the packet.
 * Each hop adds a contention-phase delay (receiver-side distance-class
   contention) plus one public-key operation (AO2P is hop-by-hop
   encryption in Table 1) — together slightly more than ALARM's per-hop
@@ -25,13 +27,14 @@ Model
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 from repro.geometry.primitives import Point
+from repro.net.neighbor_table import NeighborEntry
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
-from repro.routing.base import RoutingProtocol
-from repro.routing.gpsr import next_hop_greedy, next_hop_right_hand
+from repro.routing.gpsr import GpsrHeader, GpsrProtocol
 
 
 @dataclass(frozen=True)
@@ -61,32 +64,17 @@ class Ao2pConfig:
     max_forward_retries: int = 3
 
 
-@dataclass
-class Ao2pHeader:
-    """Per-packet AO2P routing state (proxy target, not D's position)."""
-
-    proxy: Point
-    dst_addr: int
-    ttl: int
-    mode: str = "greedy"
-    perimeter_entry: Point | None = None
-    prev_pos: Point | None = None
-    retries: int = 0
-
-    def clone(self) -> "Ao2pHeader":
-        """Independent copy for a broadcast branch (fields immutable)."""
-        return replace(self)
-
-
-class Ao2pProtocol(RoutingProtocol):
+class Ao2pProtocol(GpsrProtocol):
     """The AO2P comparison protocol."""
 
     name = "AO2P"
 
     def __init__(self, network, location, metrics=None, cost_model=None,
                  config: Ao2pConfig | None = None) -> None:
-        super().__init__(network, location, metrics, cost_model)
-        self.config = config if config is not None else Ao2pConfig()
+        super().__init__(
+            network, location, metrics, cost_model,
+            config if config is not None else Ao2pConfig(),
+        )
         self._rng = self.engine.rng.stream("ao2p")
 
     # ------------------------------------------------------------------
@@ -114,8 +102,9 @@ class Ao2pProtocol(RoutingProtocol):
     def _initiate(self, packet: Packet) -> None:
         record = self.lookup_destination(packet.src, packet.dst)
         src_pos = self.network.nodes[packet.src].position(self.engine.now)
-        packet.header = Ao2pHeader(
-            proxy=self._proxy_position(src_pos, record.position),
+        # The header carries the proxy, never D's position.
+        packet.header = GpsrHeader(
+            target=self._proxy_position(src_pos, record.position),
             dst_addr=packet.dst,
             ttl=self.config.ttl,
         )
@@ -126,7 +115,7 @@ class Ao2pProtocol(RoutingProtocol):
 
     def _dispatch(self, node: Node, packet: Packet) -> None:
         if packet.kind is not PacketKind.DATA or not isinstance(
-            packet.header, Ao2pHeader
+            packet.header, GpsrHeader
         ):
             return
         packet.header.retries = 0
@@ -135,94 +124,24 @@ class Ao2pProtocol(RoutingProtocol):
         delay = self.cost.pubkey_encrypt()
         self._after_crypto(packet, delay, lambda: self._forward(node, packet))
 
-    def _forward(self, node: Node, packet: Packet) -> None:
-        hdr: Ao2pHeader = packet.header
-        if node.id == hdr.dst_addr:
-            self._delivered(packet)
-            return
-        if hdr.ttl <= 0:
-            self._dropped(packet, "ttl-exhausted")
-            return
-        now = self.engine.now
-        self_pos = node.position(now)
-        entries = node.neighbors.live_entries(now)
-
+    def _direct_hand_off(
+        self, direct: NeighborEntry, self_pos: Point, target: Point
+    ) -> bool:
         # The destination contends like any neighbor and, lying on the
-        # path toward the proxy, wins whenever it is in range and makes
-        # progress toward the proxy.
-        direct = next((e for e in entries if e.link_address == hdr.dst_addr), None)
-        if direct is not None and direct.position.sq_distance_to(
-            hdr.proxy
-        ) < self_pos.sq_distance_to(hdr.proxy):
-            self._transmit(node, direct, packet, self_pos, contenders=len(entries))
-            return
+        # path toward the proxy, wins whenever it makes progress toward
+        # the proxy; otherwise it still receives at a local maximum.
+        own = self_pos.sq_distance_to(target)
+        return direct.position.sq_distance_to(target) < own
 
-        if hdr.mode == "perimeter":
-            assert hdr.perimeter_entry is not None
-            if self_pos.distance_to(hdr.proxy) < hdr.perimeter_entry.distance_to(
-                hdr.proxy
-            ):
-                hdr.mode = "greedy"
-                hdr.perimeter_entry = None
-
-        if hdr.mode == "greedy":
-            choice = next_hop_greedy(self_pos, hdr.proxy, entries)
-            if choice is None:
-                # Local maximum near the proxy: if the destination is a
-                # plain neighbor, it still receives; otherwise perimeter.
-                if direct is not None:
-                    self._transmit(
-                        node, direct, packet, self_pos, contenders=len(entries)
-                    )
-                    return
-                hdr.mode = "perimeter"
-                hdr.perimeter_entry = self_pos
-                choice = next_hop_right_hand(
-                    self_pos, hdr.prev_pos or hdr.proxy, entries
-                )
-        else:
-            choice = next_hop_right_hand(
-                self_pos, hdr.prev_pos or hdr.proxy, entries
-            )
-
-        if choice is None:
-            self._dropped(packet, "no-neighbors")
-            return
-        self._transmit(node, choice, packet, self_pos, contenders=len(entries))
-
-    def _transmit(
-        self,
-        node: Node,
-        choice,
-        packet: Packet,
-        self_pos: Point,
-        contenders: int,
+    def _unicast(
+        self, node: Node, choice: NeighborEntry, packet: Packet
     ) -> None:
-        hdr: Ao2pHeader = packet.header
-        hdr.ttl -= 1
-        hdr.prev_pos = self_pos
-        self._mark_participant(packet, node.id)
-        contention = self._contention_delay(contenders)
+        """Hand over after the contention phase among the holder's
+        neighbors."""
+        contention = self._contention_delay(
+            len(node.neighbors.live_entries(self.engine.now))
+        )
         packet.crypto_delay += contention
         self.engine.schedule_in(
-            contention,
-            lambda: self.network.unicast(
-                node.id,
-                choice.link_address,
-                packet,
-                on_failed=lambda reason, c=choice: self._on_link_failure(
-                    node, c, packet, reason
-                ),
-                flow=packet.flow_id,
-            ),
+            contention, partial(super()._unicast, node, choice, packet)
         )
-
-    def _on_link_failure(self, node: Node, choice, packet: Packet, reason: str) -> None:
-        hdr: Ao2pHeader = packet.header
-        node.neighbors.remove(choice.link_address)
-        hdr.retries += 1
-        hdr.ttl += 1
-        if hdr.retries > self.config.max_forward_retries:
-            self._dropped(packet, f"link-failure:{reason}")
-            return
-        self._forward(node, packet)

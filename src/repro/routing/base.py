@@ -1,4 +1,4 @@
-"""The protocol interface shared by GPSR, ALERT, ALARM, and AO2P.
+"""The protocol interface shared by ALERT, GPSR, ALARM, AO2P and ZAP.
 
 A protocol attaches to a :class:`~repro.net.network.Network`, claims
 every node's receive hook, wires the network's transmission listener to

@@ -19,6 +19,12 @@ Implementation notes
 * The greedy/Gabriel/right-hand-rule helpers are module-level functions
   because ALERT reuses them for its RF-to-RF segments (§2.3: "Between
   any two RFs, the relays perform the GPSR routing").
+* :func:`next_hop_geographic` is the one greedy/perimeter forwarding
+  step and :meth:`GpsrProtocol._on_link_failure` the one hop-retry
+  rule.  The comparison protocols the paper describes as routing
+  "similar to GPSR" (ALARM, AO2P) and ZAP's geo-forwarding leg derive
+  from :class:`GpsrProtocol` and route with both toward a target of
+  their own.
 """
 
 from __future__ import annotations
@@ -164,6 +170,61 @@ def next_hop_right_hand(
     return best
 
 
+@dataclass(kw_only=True)
+class GeoHeader:
+    """Per-packet greedy/perimeter state of :func:`next_hop_geographic`.
+
+    Protocol headers derive from it and add their routing target.
+    """
+
+    ttl: int
+    mode: str = "greedy"  # or "perimeter"
+    perimeter_entry: Point | None = None
+    prev_pos: Point | None = None
+    retries: int = 0
+
+    def clone(self) -> "GeoHeader":
+        """Independent copy for a broadcast branch (fields immutable)."""
+        return replace(self)
+
+
+def next_hop_geographic(
+    hdr: GeoHeader,
+    self_pos: Point,
+    target: Point,
+    table: NeighborTable,
+    now: float,
+    local_max: NeighborEntry | None,
+) -> NeighborEntry | None:
+    """One greedy/perimeter forwarding decision toward ``target``.
+
+    A packet in perimeter mode returns to greedy mode as soon as it is
+    closer to ``target`` than where it entered perimeter mode.  Greedy
+    mode picks the neighbor closest to ``target``; at a local maximum
+    the packet goes to ``local_max`` if one is given, else it enters
+    perimeter mode and follows the right-hand rule.  Returns ``None``
+    only when the node has no live neighbor.
+    """
+    if hdr.mode == "perimeter" and (
+        self_pos.distance_to(target)
+        < hdr.perimeter_entry.distance_to(target) - _PROGRESS_EPS
+    ):
+        hdr.mode = "greedy"
+        hdr.perimeter_entry = None
+    if hdr.mode == "greedy":
+        choice = next_hop_greedy_batched(self_pos, target, table, now)
+        if choice is not None:
+            return choice
+        if local_max is not None:
+            return local_max
+        hdr.mode = "perimeter"
+        hdr.perimeter_entry = self_pos
+    # The row list is only materialised on this (rare) perimeter path.
+    return next_hop_right_hand(
+        self_pos, hdr.prev_pos or target, table.live_entries(now)
+    )
+
+
 # ----------------------------------------------------------------------
 # the protocol
 # ----------------------------------------------------------------------
@@ -184,25 +245,28 @@ class GpsrConfig:
     max_forward_retries: int = 3
 
 
+
+
 @dataclass
-class GpsrHeader:
-    """Per-packet GPSR routing state."""
+class GpsrHeader(GeoHeader):
+    """Per-packet GPSR routing state: the position routed toward and
+    the destination's address."""
 
     target: Point
     dst_addr: int
-    ttl: int
-    mode: str = "greedy"  # or "perimeter"
-    perimeter_entry: Point | None = None
-    prev_pos: Point | None = None
-    retries: int = 0
-
-    def clone(self) -> "GpsrHeader":
-        """Independent copy for a broadcast branch (fields immutable)."""
-        return replace(self)
 
 
 class GpsrProtocol(RoutingProtocol):
-    """The GPSR baseline protocol."""
+    """The GPSR baseline protocol.
+
+    ALARM, AO2P and ZAP subclass it.  Each sets its own target in
+    :meth:`_initiate` (ZAP in :meth:`_forward`), adds its per-hop crypto
+    in :meth:`_dispatch` (AO2P also its hand-off rule and contention in
+    :meth:`_direct_hand_off` and :meth:`_unicast`), and shares
+    :meth:`_route`, :meth:`_transmit` and the hop-retry rule
+    :meth:`_on_link_failure`.  A subclass's ``config`` carries ``ttl``
+    and ``max_forward_retries`` as :class:`GpsrConfig` does.
+    """
 
     name = "GPSR"
 
@@ -241,45 +305,37 @@ class GpsrProtocol(RoutingProtocol):
         if hdr.ttl <= 0:
             self._dropped(packet, "ttl-exhausted")
             return
-
         now = self.engine.now
         self_pos = node.position(now)
-        table = node.neighbors
-
-        # Destination adjacency: if D is a live neighbor, hand it over.
-        # (Keyed lookup — same "exists and not expired" predicate the
-        # old scan over ``live_entries`` applied.)
-        direct = table.get(hdr.dst_addr, now)
-        if direct is not None:
+        direct = node.neighbors.get(hdr.dst_addr, now)
+        if direct is not None and self._direct_hand_off(
+            direct, self_pos, hdr.target
+        ):
             self._transmit(node, direct, packet, self_pos)
             return
+        self._route(node, packet, self_pos, hdr.target, direct)
 
-        if hdr.mode == "perimeter":
-            assert hdr.perimeter_entry is not None
-            if (
-                self_pos.distance_to(hdr.target)
-                < hdr.perimeter_entry.distance_to(hdr.target) - _PROGRESS_EPS
-            ):
-                hdr.mode = "greedy"
-                hdr.perimeter_entry = None
+    def _direct_hand_off(
+        self, direct: NeighborEntry, self_pos: Point, target: Point
+    ) -> bool:
+        """Whether the destination, a live neighbor, takes the packet
+        now.  GPSR always hands it over; a destination refused here is
+        still handed the packet at a local maximum."""
+        return True
 
-        if hdr.mode == "greedy":
-            choice = next_hop_greedy_batched(self_pos, hdr.target, table, now)
-            if choice is None:
-                # Local maximum: enter perimeter mode.  The row list is
-                # only materialised on this (rare) fallback path.
-                hdr.mode = "perimeter"
-                hdr.perimeter_entry = self_pos
-                choice = next_hop_right_hand(
-                    self_pos, hdr.prev_pos or hdr.target,
-                    table.live_entries(now),
-                )
-        else:
-            choice = next_hop_right_hand(
-                self_pos, hdr.prev_pos or hdr.target,
-                table.live_entries(now),
-            )
-
+    def _route(
+        self,
+        node: Node,
+        packet: Packet,
+        self_pos: Point,
+        target: Point,
+        local_max: NeighborEntry | None,
+    ) -> None:
+        """Forward one hop by :func:`next_hop_geographic`."""
+        choice = next_hop_geographic(
+            packet.header, self_pos, target, node.neighbors,
+            self.engine.now, local_max,
+        )
         if choice is None:
             self._dropped(packet, "no-neighbors")
             return
@@ -288,10 +344,15 @@ class GpsrProtocol(RoutingProtocol):
     def _transmit(
         self, node: Node, choice: NeighborEntry, packet: Packet, self_pos: Point
     ) -> None:
-        hdr: GpsrHeader = packet.header
+        hdr: GeoHeader = packet.header
         hdr.ttl -= 1
         hdr.prev_pos = self_pos
         self._mark_participant(packet, node.id)
+        self._unicast(node, choice, packet)
+
+    def _unicast(
+        self, node: Node, choice: NeighborEntry, packet: Packet
+    ) -> None:
         self.network.unicast(
             node.id,
             choice.link_address,
@@ -306,7 +367,7 @@ class GpsrProtocol(RoutingProtocol):
         self, node: Node, choice: NeighborEntry, packet: Packet, reason: str
     ) -> None:
         """Blacklist the failed neighbor and retry from the same node."""
-        hdr: GpsrHeader = packet.header
+        hdr: GeoHeader = packet.header
         self._report_link_failure(packet, reason)
         node.neighbors.remove(choice.link_address)
         hdr.retries += 1

@@ -4,24 +4,27 @@
 ZAP protects only the destination: the source addresses packets to an
 *anonymity zone* (AZ) around D's position instead of to D, geo-forwards
 to the zone, and floods inside it, so an observer learns the zone but
-not which member is D.  §3.3 discusses ZAP's two options against
-intersection attacks — "dynamically enlarges the range of anonymous
-zones to broadcast the messages or minimizes communication session
-time" — and argues both are costly; ALERT's two-step multicast is the
-paper's alternative.  This implementation exposes the enlargement knob
-so the attack benchmark can reproduce that comparison.
+not which member is D.  The geo-forwarding leg is GPSR
+(:class:`~repro.routing.gpsr.GpsrProtocol`'s greedy/perimeter step
+and hop-retry rule) toward the zone's centre.
+
+§3.3 discusses ZAP's two options against intersection attacks —
+"dynamically enlarges the range of anonymous zones to broadcast the
+messages or minimizes communication session time" — and argues both
+are costly; ALERT's two-step multicast is the paper's alternative.
+This implementation exposes the enlargement knob so the attack
+benchmark can reproduce that comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.geometry.primitives import Point, Rect
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
-from repro.routing.base import RoutingProtocol
-from repro.routing.gpsr import next_hop_greedy, next_hop_right_hand
+from repro.routing.gpsr import GeoHeader, GpsrProtocol
 
 
 @dataclass(frozen=True)
@@ -51,33 +54,26 @@ class ZapConfig:
 
 
 @dataclass
-class ZapHeader:
+class ZapHeader(GeoHeader):
     """Per-packet ZAP state: the anonymity zone, not D's position."""
 
     zone: Rect
-    ttl: int
     stage: int = 0  # 0 = geo-forwarding, 1 = in-zone flood
-    mode: str = "greedy"
-    perimeter_entry: Point | None = None
-    prev_pos: Point | None = None
-    retries: int = 0
     session: int = 0
     seq: int = 0
 
-    def clone(self) -> "ZapHeader":
-        """Independent copy for a broadcast branch (fields immutable)."""
-        return replace(self)
 
-
-class ZapProtocol(RoutingProtocol):
+class ZapProtocol(GpsrProtocol):
     """The ZAP comparison protocol (destination anonymity only)."""
 
     name = "ZAP"
 
     def __init__(self, network, location, metrics=None, cost_model=None,
                  config: ZapConfig | None = None) -> None:
-        super().__init__(network, location, metrics, cost_model)
-        self.config = config if config is not None else ZapConfig()
+        super().__init__(
+            network, location, metrics, cost_model,
+            config if config is not None else ZapConfig(),
+        )
         self._session_seq: dict[tuple[int, int], int] = {}
         self._seen: set[tuple] = set()
         #: optional hook: (time, in-zone recipient ids) per flood —
@@ -144,9 +140,7 @@ class ZapProtocol(RoutingProtocol):
     # ------------------------------------------------------------------
     def _forward(self, node: Node, packet: Packet) -> None:
         hdr: ZapHeader = packet.header
-        now = self.engine.now
-        pos = node.position(now)
-
+        pos = node.position(self.engine.now)
         if hdr.zone.contains(pos):
             hdr.stage = 1
             self._flood(node, packet)
@@ -154,40 +148,7 @@ class ZapProtocol(RoutingProtocol):
         if hdr.ttl <= 0:
             self._dropped(packet, "ttl-exhausted")
             return
-
-        target = hdr.zone.center
-        entries = node.neighbors.live_entries(now)
-
-        if hdr.mode == "perimeter":
-            assert hdr.perimeter_entry is not None
-            if pos.distance_to(target) < hdr.perimeter_entry.distance_to(target):
-                hdr.mode = "greedy"
-                hdr.perimeter_entry = None
-
-        if hdr.mode == "greedy":
-            choice = next_hop_greedy(pos, target, entries)
-            if choice is None:
-                hdr.mode = "perimeter"
-                hdr.perimeter_entry = pos
-                choice = next_hop_right_hand(pos, hdr.prev_pos or target, entries)
-        else:
-            choice = next_hop_right_hand(pos, hdr.prev_pos or target, entries)
-
-        if choice is None:
-            self._dropped(packet, "no-neighbors")
-            return
-        hdr.ttl -= 1
-        hdr.prev_pos = pos
-        self._mark_participant(packet, node.id)
-        self.network.unicast(
-            node.id,
-            choice.link_address,
-            packet,
-            on_failed=lambda reason, c=choice: self._on_link_failure(
-                node, c, packet, reason
-            ),
-            flow=packet.flow_id,
-        )
+        self._route(node, packet, pos, hdr.zone.center, None)
 
     def _flood(self, node: Node, packet: Packet) -> None:
         """In-zone flood: every zone member rebroadcasts once."""
@@ -204,13 +165,3 @@ class ZapProtocol(RoutingProtocol):
             self.zone_delivery_observer(self.engine.now, in_zone)
         self.metrics.note("zap_zone_floods")
         self.metrics.note("zap_zone_population", len(members))
-
-    def _on_link_failure(self, node: Node, choice, packet: Packet, reason: str) -> None:
-        hdr: ZapHeader = packet.header
-        node.neighbors.remove(choice.link_address)
-        hdr.retries += 1
-        hdr.ttl += 1
-        if hdr.retries > self.config.max_forward_retries:
-            self._dropped(packet, f"link-failure:{reason}")
-            return
-        self._forward(node, packet)

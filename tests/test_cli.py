@@ -19,6 +19,8 @@ class TestParser:
     def test_protocol_choices_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--protocol", "OSPF"])
+        args = build_parser().parse_args(["--protocol", "ZAP"])
+        assert config_from_args(args).protocol == "ZAP"
 
     def test_no_destination_update_flag(self):
         args = build_parser().parse_args(["--no-destination-update"])

@@ -29,6 +29,7 @@ from repro.net.feedback import (
     LOSS_TIMEOUT,
     FlowFeedback,
 )
+from repro.net.network import Network
 from repro.net.traffic import DEFAULT_BACKOFF_KINDS, AdaptiveSource, CbrSource
 from repro.sim.engine import Engine
 
@@ -441,6 +442,25 @@ class TestEndToEnd:
         # offered load genuinely fell below the open-loop cadence
         open_loop = len(first.pairs) / LOSSY.send_interval
         assert first.offered_load_pps < open_loop
+
+    @pytest.mark.parametrize("protocol", ["GPSR", "ALARM", "AO2P", "ZAP"])
+    def test_every_hop_failure_reaches_feedback(self, protocol, monkeypatch):
+        """Each per-hop link failure the network reports to a GPSR-based
+        protocol is passed on to ``FlowFeedback.link_failure``."""
+        failures = []
+        unicast = Network.unicast
+
+        def counting_unicast(self, *args, on_failed, **kwargs):
+            def failed(reason):
+                failures.append(reason)
+                on_failed(reason)
+
+            unicast(self, *args, on_failed=failed, **kwargs)
+
+        monkeypatch.setattr(Network, "unicast", counting_unicast)
+        result = run_experiment(LOSSY.with_(protocol=protocol))
+        assert failures
+        assert result.feedback.link_failures == len(failures)
 
     def test_per_flow_traffic_rows_cover_all_pairs(self):
         result = run_experiment(LOSSY)
