@@ -41,7 +41,6 @@ from repro.core.notify_and_go import NotifyAndGo
 from repro.core.packet_format import (
     AlertHeader,
     AlertPacketType,
-    SegmentState,
     header_wire_size,
 )
 from repro.core.zones import destination_zone, required_partitions, separate_from_zone
@@ -197,7 +196,6 @@ class AlertProtocol(RoutingProtocol):
 
         seq = sess.seq
         sess.seq += 1
-        now = self.engine.now
         data_size = packet.size_bytes
         # .astype/.tobytes consumes the stream exactly like the former
         # per-byte int() loop (same integers() call), without the loop.
@@ -215,20 +213,7 @@ class AlertProtocol(RoutingProtocol):
 
         delay = self.cost.symmetric_encrypt()
 
-        header = AlertHeader(
-            ptype=AlertPacketType.RREQ,
-            p_src=self.network.nodes[packet.src].pseudonym_at(now),
-            p_dst=self.network.nodes[packet.dst].pseudonym_at(now),
-            zone_dst=sess.zd,
-            zone_src_enc=sess.zone_src_enc,
-            td=None,
-            h=0,
-            h_max=self.h,
-            direction=self.config.first_direction,
-            wrapped_key=sess.wrapped_key,
-            session=sess.session_id,
-            seq=seq,
-        )
+        header = self._rreq_header(sess, seq)
         packet.header = header
         packet.payload = ciphertext
         packet.size_bytes = header_wire_size(header, len(ciphertext))
@@ -246,6 +231,26 @@ class AlertProtocol(RoutingProtocol):
             )
         else:
             self._after_crypto(packet, delay, start)
+
+    def _rreq_header(self, sess: SessionState, seq: int) -> AlertHeader:
+        """A fresh RREQ header for ``seq`` of ``sess``, pseudonyms as of
+        now."""
+        now = self.engine.now
+        return AlertHeader(
+            ptype=AlertPacketType.RREQ,
+            p_src=self.network.nodes[sess.src].pseudonym_at(now),
+            p_dst=self.network.nodes[sess.dst].pseudonym_at(now),
+            zone_dst=sess.zd,
+            zone_src_enc=sess.zone_src_enc,
+            td=None,
+            h=0,
+            h_max=self.h,
+            direction=self.config.first_direction,
+            wrapped_key=sess.wrapped_key,
+            session=sess.session_id,
+            seq=seq,
+            ttl=self.config.segment_ttl,
+        )
 
     # ------------------------------------------------------------------
     # dispatch
@@ -284,7 +289,7 @@ class AlertProtocol(RoutingProtocol):
         seen.add(key)
         if len(seen) == before:  # single hash for the probe + insert
             return
-        hdr.segment.retries = 0  # fresh hop, fresh link-retry budget
+        hdr.retries = 0  # fresh hop, fresh link-retry budget
 
         now = self.engine.now
         pos = node.position(now)
@@ -333,7 +338,8 @@ class AlertProtocol(RoutingProtocol):
                 return
             hdr.fallback = True
             hdr.td = hdr.zone_dst.center
-            hdr.segment = SegmentState(ttl=self.config.segment_ttl)
+            hdr.ttl = self.config.segment_ttl
+            hdr.retries = 0
             self._segment_forward(node, packet)
             return
 
@@ -350,7 +356,8 @@ class AlertProtocol(RoutingProtocol):
         hdr.direction = result.next_direction
         hdr.rf_rounds += 1
         hdr.td = result.next_zone.random_point(self._rng)
-        hdr.segment = SegmentState(ttl=self.config.segment_ttl)
+        hdr.ttl = self.config.segment_ttl
+        hdr.retries = 0
         if packet.flow_id is not None:
             self.metrics.record_partitions(packet.flow_id, result.partitions)
         self._segment_forward(node, packet)
@@ -375,15 +382,14 @@ class AlertProtocol(RoutingProtocol):
             self._rf_partition(node, packet)
             return
 
-        if hdr.segment.ttl <= 0:
+        if hdr.ttl <= 0:
             # Segment budget exhausted: promote to RF where we stand.
             if packet.flow_id is not None:
                 self.metrics.record_rf(packet.flow_id, node.id)
             self._rf_partition(node, packet)
             return
 
-        hdr.segment.ttl -= 1
-        hdr.segment.prev_pos = pos
+        hdr.ttl -= 1
         self._mark_participant(packet, node.id)
         # Record the transmitting node before the overhear fork copies
         # the trace, so an overheard delivery reports the full path.
@@ -413,15 +419,9 @@ class AlertProtocol(RoutingProtocol):
         return packet.dst, packet.fork()
 
     def _on_link_failure(self, node: Node, choice, packet: Packet, reason: str) -> None:
-        hdr: AlertHeader = packet.header
-        self._report_link_failure(packet, reason)
-        node.neighbors.remove(choice.link_address)
-        hdr.segment.retries += 1
-        hdr.segment.ttl += 1  # failed hop made no progress
-        if hdr.segment.retries > 3:
-            self._dropped(packet, f"link-failure:{reason}")
-            return
-        self._segment_forward(node, packet)
+        """Retry from the same node under the shared hop-retry rule."""
+        if self._retry_hop(node, choice, packet, reason):
+            self._segment_forward(node, packet)
 
     # ------------------------------------------------------------------
     # destination-zone phase
@@ -513,6 +513,7 @@ class AlertProtocol(RoutingProtocol):
         hdr: AlertHeader = packet.header
         self._mark_participant(packet, node.id)
         state = self._holders.setdefault(hdr.session, HolderState())
+        dest_public = self._session_by_id(hdr.session).dest_public
 
         # Step 2 for the *previous* packet: holders release it now.
         # Releases are prepared (scramble draws come from the protocol
@@ -528,9 +529,7 @@ class AlertProtocol(RoutingProtocol):
             # Fresh scramble so the release is not byte-identical to
             # the original multicast.
             scrambled, bitmap = scramble_payload(
-                release.payload,
-                self._sessions_public_key(hdr.session),
-                self._rng,
+                release.payload, dest_public, self._rng
             )
             self.cost.pubkey_encrypt()
             release.payload = scrambled
@@ -556,9 +555,7 @@ class AlertProtocol(RoutingProtocol):
             int(i) for i in self._rng.choice(members, size=m, replace=False)
         ]
         scrambled, bitmap = scramble_payload(
-            packet.payload,
-            self._sessions_public_key(hdr.session),
-            self._rng,
+            packet.payload, dest_public, self._rng
         )
         self.cost.pubkey_encrypt()
         packet.payload = scrambled
@@ -580,11 +577,11 @@ class AlertProtocol(RoutingProtocol):
             (rid, packet.fork()) for rid in receivers
         ]
 
-    def _sessions_public_key(self, session_id: int):
-        """The destination public key for a session (any side)."""
+    def _session_by_id(self, session_id: int) -> SessionState:
+        """The session with ``session_id`` (any side)."""
         for sess in self._sessions.values():
             if sess.session_id == session_id:
-                return sess.dest_public
+                return sess
         raise KeyError(f"unknown session {session_id}")
 
     # ------------------------------------------------------------------
@@ -687,21 +684,7 @@ class AlertProtocol(RoutingProtocol):
             flow_id=None,  # retransmission; original flow keeps its record
             payload=ciphertext,
         )
-        now = self.engine.now
-        header = AlertHeader(
-            ptype=AlertPacketType.RREQ,
-            p_src=self.network.nodes[sess.src].pseudonym_at(now),
-            p_dst=self.network.nodes[sess.dst].pseudonym_at(now),
-            zone_dst=sess.zd,
-            zone_src_enc=sess.zone_src_enc,
-            td=None,
-            h=0,
-            h_max=self.h,
-            direction=self.config.first_direction,
-            wrapped_key=sess.wrapped_key,
-            session=sess.session_id,
-            seq=seq,
-        )
+        header = self._rreq_header(sess, seq)
         packet.header = header
         packet.size_bytes = header_wire_size(header, len(ciphertext))
         self._arm_confirmation(sess, seq, packet.size_bytes)
@@ -739,24 +722,20 @@ class AlertProtocol(RoutingProtocol):
             direction=self.config.first_direction,
             session=hdr.session,
             seq=seq,
+            ttl=self.config.segment_ttl,
         )
         self.metrics.note("rrep_sent" if ptype is AlertPacketType.RREP else "nak_sent")
         self._continue_from(node, control)
 
     def _on_confirmation(self, hdr: AlertHeader) -> None:
         """Source received an RREP: cancel the resend timer."""
-        for sess in self._sessions.values():
-            if sess.session_id == hdr.session:
-                timer = sess.confirm_timers.pop(hdr.seq, None)
-                if timer is not None:
-                    timer.cancel()
-                self.metrics.note("rrep_received")
-                return
+        sess = self._session_by_id(hdr.session)
+        timer = sess.confirm_timers.pop(hdr.seq, None)
+        if timer is not None:
+            timer.cancel()
+        self.metrics.note("rrep_received")
 
     def _on_nak(self, hdr: AlertHeader) -> None:
         """Source received a NAK: resend the missing sequence number."""
-        for sess in self._sessions.values():
-            if sess.session_id == hdr.session:
-                self.metrics.note("nak_received")
-                self._resend(sess, hdr.seq, 0)
-                return
+        self.metrics.note("nak_received")
+        self._resend(self._session_by_id(hdr.session), hdr.seq, 0)

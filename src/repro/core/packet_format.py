@@ -25,10 +25,13 @@ Field           Meaning
                 direction
 ==============  =====================================================
 
-Routing state that an implementation needs but the paper leaves
-implicit (current GPSR-segment mode, retry counters) lives in the
-mutable ``SegmentState`` companion rather than the header, mirroring
-the header-vs-per-hop-state split of a real stack.
+Per-hop routing state that an implementation needs but the paper
+leaves implicit (the GPSR segment's hop budget ``ttl`` and its
+link-retry count ``retries``) comes from the shared
+:class:`~repro.routing.gpsr.GeoHeader` base, which every protocol's
+header derives from (§2.3: "Between any two RFs, the relays perform
+the GPSR routing").  ALERT's segments are greedy-only, so ``mode``
+stays ``"greedy"``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from enum import Enum
 
 from repro.core.zones import Direction
 from repro.geometry.primitives import Point, Rect
+from repro.routing.gpsr import GeoHeader
 
 
 class AlertPacketType(Enum):
@@ -49,17 +53,8 @@ class AlertPacketType(Enum):
 
 
 @dataclass
-class SegmentState:
-    """Per-GPSR-segment mutable routing state (not part of Fig. 4)."""
-
-    ttl: int = 10
-    prev_pos: Point | None = None
-    retries: int = 0
-
-
-@dataclass
-class AlertHeader:
-    """The universal ALERT header (Fig. 4)."""
+class AlertHeader(GeoHeader):
+    """The universal ALERT header (Fig. 4) on the shared hop state."""
 
     ptype: AlertPacketType
     p_src: bytes
@@ -79,7 +74,6 @@ class AlertHeader:
     session: int = 0
     #: sequence number within the session (drives NAK loss detection)
     seq: int = 0
-    segment: SegmentState = field(default_factory=SegmentState)
     #: rounds of partitioning performed (safety bound bookkeeping)
     rf_rounds: int = 0
     #: 0 = en route, 1 = zone broadcast/multicast, 2 = zone rebroadcast
@@ -87,19 +81,15 @@ class AlertHeader:
     #: set once the RF-round budget is exhausted (last-ditch GPSR run)
     fallback: bool = False
 
-    def flip_direction(self) -> None:
-        """Flip the partition-direction bit (done by each RF, §2.5)."""
-        self.direction = self.direction.flip()
-
     def clone(self) -> "AlertHeader":
         """Deep-enough copy for broadcast branches.
 
         :meth:`repro.net.packet.Packet.fork` calls this for every
         broadcast branch, so each receiver can mutate routing state
-        (zone stage, bitmap chain, segment) without affecting siblings.
-        The mutable ``bitmap_chain`` list and ``segment`` record are
-        copied; everything else is immutable and shared.  Built via
-        ``__dict__`` copy rather than the 18-keyword constructor: every
+        (zone stage, bitmap chain, hop state) without affecting
+        siblings.  The mutable ``bitmap_chain`` list is copied;
+        every other field is immutable and shared.  Built via
+        ``__dict__`` copy rather than the 22-keyword constructor: every
         broadcast branch pays this, making it one of the hottest
         allocation sites of a run.
         """
@@ -107,9 +97,6 @@ class AlertHeader:
         d = new.__dict__
         d.update(self.__dict__)
         d["bitmap_chain"] = list(self.bitmap_chain)
-        seg = object.__new__(SegmentState)
-        seg.__dict__.update(self.segment.__dict__)
-        d["segment"] = seg
         return new
 
 

@@ -47,13 +47,10 @@ class AlarmConfig:
         Period of the identity/location dissemination (paper: 30 s).
     ttl:
         Maximum hops per data packet.
-    max_forward_retries:
-        Alternative neighbors tried after a link failure at one hop.
     """
 
     dissemination_interval: float = 30.0
     ttl: int = 10
-    max_forward_retries: int = 3
 
 
 class AlarmProtocol(GpsrProtocol):

@@ -53,15 +53,12 @@ class Ao2pConfig:
         delay is ``(classes / 2) · slot``.
     ttl:
         Maximum hops per packet.
-    max_forward_retries:
-        Alternative neighbors tried after a link failure.
     """
 
     proxy_extension_m: float = 200.0
     contention_classes: int = 4
     contention_slot_s: float = 0.002
     ttl: int = 12
-    max_forward_retries: int = 3
 
 
 class Ao2pProtocol(GpsrProtocol):

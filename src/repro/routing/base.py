@@ -17,9 +17,14 @@ from repro.crypto.cost_model import CryptoCostModel
 from repro.experiments.metrics import MetricsCollector
 from repro.location.service import LocationService
 from repro.net.feedback import FlowFeedback
+from repro.net.neighbor_table import NeighborEntry
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
+
+#: Alternative next hops a node tries after link-layer failures before
+#: it drops the packet at that hop; shared by all five protocols.
+MAX_FORWARD_RETRIES = 3
 
 
 class RoutingProtocol(ABC):
@@ -140,12 +145,28 @@ class RoutingProtocol(ABC):
             if self.feedback is not None:
                 self.feedback.drop(packet.flow_id, reason, self.engine.now)
 
-    def _report_link_failure(self, packet: Packet, reason: str) -> None:
-        """Report a non-terminal per-hop link failure to feedback."""
+    def _retry_hop(
+        self, node: Node, choice: NeighborEntry, packet: Packet, reason: str
+    ) -> bool:
+        """The one hop-retry rule, for any header with ``ttl`` and
+        ``retries``.
+
+        Reports the failure to feedback (non-terminal), blacklists the
+        failed neighbor ``choice``, counts the failure and refunds the
+        hop's TTL (the failed hop did not advance the packet).  Returns
+        whether ``node`` may try another next hop; past
+        :data:`MAX_FORWARD_RETRIES` it drops the packet instead.
+        """
+        hdr = packet.header
         if self.feedback is not None and packet.flow_id is not None:
-            self.feedback.link_failure(
-                packet.flow_id, reason, self.engine.now
-            )
+            self.feedback.link_failure(packet.flow_id, reason, self.engine.now)
+        node.neighbors.remove(choice.link_address)
+        hdr.retries += 1
+        hdr.ttl += 1
+        if hdr.retries > MAX_FORWARD_RETRIES:
+            self._dropped(packet, f"link-failure:{reason}")
+            return False
+        return True
 
     def _report_timeout(self, flow_id: int | None) -> None:
         """Report an end-to-end confirmation timeout to feedback."""

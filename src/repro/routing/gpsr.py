@@ -20,11 +20,12 @@ Implementation notes
   because ALERT reuses them for its RF-to-RF segments (§2.3: "Between
   any two RFs, the relays perform the GPSR routing").
 * :func:`next_hop_geographic` is the one greedy/perimeter forwarding
-  step and :meth:`GpsrProtocol._on_link_failure` the one hop-retry
-  rule.  The comparison protocols the paper describes as routing
-  "similar to GPSR" (ALARM, AO2P) and ZAP's geo-forwarding leg derive
-  from :class:`GpsrProtocol` and route with both toward a target of
-  their own.
+  step, and :class:`GeoHeader` the per-packet hop state it and the
+  shared hop-retry rule (:meth:`RoutingProtocol._retry_hop`, also
+  ALERT's) work on.  The comparison protocols the paper describes as
+  routing "similar to GPSR" (ALARM, AO2P) and ZAP's geo-forwarding leg
+  derive from :class:`GpsrProtocol` and route with both toward a
+  target of their own.
 """
 
 from __future__ import annotations
@@ -172,9 +173,12 @@ def next_hop_right_hand(
 
 @dataclass(kw_only=True)
 class GeoHeader:
-    """Per-packet greedy/perimeter state of :func:`next_hop_geographic`.
+    """Per-packet hop state: the greedy/perimeter state of
+    :func:`next_hop_geographic` and the ``ttl``/``retries`` the shared
+    hop-retry rule reads.
 
-    Protocol headers derive from it and add their routing target.
+    Protocol headers, ALERT's included, derive from it and add their
+    routing target.
     """
 
     ttl: int
@@ -236,15 +240,9 @@ class GpsrConfig:
     ----------
     ttl:
         Maximum hops per packet (paper: 10).
-    max_forward_retries:
-        Alternative neighbors tried after a link-layer failure before
-        the packet is dropped at that hop.
     """
 
     ttl: int = 10
-    max_forward_retries: int = 3
-
-
 
 
 @dataclass
@@ -263,9 +261,9 @@ class GpsrProtocol(RoutingProtocol):
     :meth:`_initiate` (ZAP in :meth:`_forward`), adds its per-hop crypto
     in :meth:`_dispatch` (AO2P also its hand-off rule and contention in
     :meth:`_direct_hand_off` and :meth:`_unicast`), and shares
-    :meth:`_route`, :meth:`_transmit` and the hop-retry rule
-    :meth:`_on_link_failure`.  A subclass's ``config`` carries ``ttl``
-    and ``max_forward_retries`` as :class:`GpsrConfig` does.
+    :meth:`_route`, :meth:`_transmit` and :meth:`_on_link_failure`,
+    which retries under :meth:`RoutingProtocol._retry_hop`.  A
+    subclass's ``config`` carries ``ttl`` as :class:`GpsrConfig` does.
     """
 
     name = "GPSR"
@@ -366,13 +364,6 @@ class GpsrProtocol(RoutingProtocol):
     def _on_link_failure(
         self, node: Node, choice: NeighborEntry, packet: Packet, reason: str
     ) -> None:
-        """Blacklist the failed neighbor and retry from the same node."""
-        hdr: GeoHeader = packet.header
-        self._report_link_failure(packet, reason)
-        node.neighbors.remove(choice.link_address)
-        hdr.retries += 1
-        hdr.ttl += 1  # the failed hop did not advance the packet
-        if hdr.retries > self.config.max_forward_retries:
-            self._dropped(packet, f"link-failure:{reason}")
-            return
-        self._forward(node, packet)
+        """Retry from the same node under the shared hop-retry rule."""
+        if self._retry_hop(node, choice, packet, reason):
+            self._forward(node, packet)

@@ -42,15 +42,12 @@ class ZapConfig:
         Cap on the enlarged zone.
     ttl:
         Hop budget for the geo-forwarding leg.
-    max_forward_retries:
-        Alternative next hops tried after a link failure.
     """
 
     zone_side: float = 250.0
     enlargement_per_packet: float = 0.0
     max_zone_side: float = 1000.0
     ttl: int = 12
-    max_forward_retries: int = 3
 
 
 @dataclass

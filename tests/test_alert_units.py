@@ -138,6 +138,7 @@ class TestDispatchHygiene:
             h=0,
             h_max=4,
             direction=Direction.VERTICAL,
+            ttl=10,
         )
         pkt = Packet(kind=PacketKind.DATA, src=0, dst=3, size_bytes=64)
         pkt.header = hdr

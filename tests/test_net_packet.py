@@ -9,7 +9,6 @@ import pytest
 from repro.core.packet_format import (
     AlertHeader,
     AlertPacketType,
-    SegmentState,
 )
 from repro.core.zones import Direction
 from repro.crypto.cipher import ShadowCiphertext
@@ -99,6 +98,7 @@ def alert_header(**kw):
         h=0,
         h_max=4,
         direction=Direction.VERTICAL,
+        ttl=10,
     )
     defaults.update(kw)
     return AlertHeader(**defaults)
@@ -109,8 +109,8 @@ class TestForkHeaderIsolation:
 
     Regression tests for the broadcast header-aliasing bug: every
     receiver of ``Network.local_broadcast`` used to share one mutable
-    header object, so ``hdr.segment.retries = 0`` (ALERT) or
-    ``hdr.retries = 0`` (ZAP) in one branch corrupted its siblings.
+    header object, so ``hdr.retries = 0`` (ALERT, ZAP) in one branch
+    corrupted its siblings.
     """
 
     def test_fork_clones_header_object(self):
@@ -122,10 +122,10 @@ class TestForkHeaderIsolation:
         p = make(header=alert_header())
         q = p.fork()
         q.header.zone_stage = 2
-        q.header.segment.retries = 5
+        q.header.retries = 5
         q.header.bitmap_chain.append(b"x")
         assert p.header.zone_stage == 0
-        assert p.header.segment.retries == 0
+        assert p.header.retries == 0
         assert p.header.bitmap_chain == []
 
     def test_sibling_branches_are_independent(self):

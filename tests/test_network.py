@@ -213,9 +213,8 @@ class TestBroadcast:
         """Header-aliasing regression (the zone-broadcast corruption bug).
 
         Every branch of a broadcast must carry its own header copy: a
-        receiver resetting its per-hop routing state (as ALERT does with
-        ``hdr.segment.retries = 0`` and ZAP with ``hdr.retries = 0``)
-        used to mutate the single shared header object, corrupting every
+        receiver resetting its per-hop routing state (as ALERT and ZAP do
+        with ``hdr.retries = 0``) used to mutate the single shared header object, corrupting every
         sibling branch.  Fails on the pre-fix ``Packet.fork()``.
         """
         from repro.routing.zap import ZapHeader

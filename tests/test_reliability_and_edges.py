@@ -1,6 +1,6 @@
 """Edge-case and reliability-path tests added after the main suite:
-NAK recovery, config validation across protocols, MAC delay bounds,
-and property checks on remaining helpers."""
+NAK recovery, hop budgets, config validation across protocols, MAC
+delay bounds, and property checks on remaining helpers."""
 
 from __future__ import annotations
 
@@ -11,11 +11,16 @@ from hypothesis import given, settings, strategies as st
 from repro.core.alert import AlertProtocol
 from repro.core.config import AlertConfig
 from repro.core.intersection_defense import coverage_percent
+from repro.core.packet_format import AlertPacketType
 from repro.crypto.cost_model import CryptoCostModel
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.metrics import MetricsCollector
+from repro.experiments.runner import run_experiment
 from repro.location.service import LocationService
 from repro.net.mac import Mac80211Dcf
+from repro.net.network import Network
 from repro.net.radio import RadioModel
+from repro.routing import base as routing_base
 from repro.routing.alarm import AlarmConfig
 from repro.routing.ao2p import Ao2pConfig
 from repro.routing.gpsr import GpsrConfig
@@ -87,6 +92,63 @@ class TestNakRecovery:
         # D saw the gap and NAKed; the source resent the missing seq.
         assert metrics.counters.get("nak_sent", 0) >= 1
         location.stop()
+
+
+class TestHopBudget:
+    def test_every_header_starts_with_segment_ttl(self, monkeypatch):
+        """Originals, resends and RREPs enter routing with the
+        configured segment budget, not a built-in one, so a packet that
+        starts inside ``Z_D`` and loses its relay hop honours it too."""
+        entered = []
+        continue_from = AlertProtocol._continue_from
+
+        def recording(self, node, packet):
+            hdr = packet.header
+            entered.append((hdr.ptype, packet.flow_id is None, hdr.ttl))
+            continue_from(self, node, packet)
+
+        monkeypatch.setattr(AlertProtocol, "_continue_from", recording)
+        run_experiment(ExperimentConfig(
+            n_nodes=40, field_size=600.0, duration=6.0, n_pairs=4,
+            send_interval=0.5, seed=3,
+            alert_options={"segment_ttl": 4, "enable_confirmation": True,
+                           "confirmation_timeout": 0.3},
+        ))
+        kinds = {(ptype, resent) for ptype, resent, _ in entered}
+        assert kinds == {
+            (AlertPacketType.RREQ, False),  # _initiate
+            (AlertPacketType.RREQ, True),  # _resend
+            (AlertPacketType.RREP, True),  # _send_control
+        }
+        assert {ttl for _, _, ttl in entered} == {4}
+
+
+class TestHopRetryBudget:
+    @pytest.mark.parametrize(
+        "protocol", ["GPSR", "ALARM", "AO2P", "ZAP", "ALERT"]
+    )
+    def test_second_failure_at_one_hop_drops(self, protocol, monkeypatch):
+        """Every protocol reads the one shared budget: at
+        ``MAX_FORWARD_RETRIES = 1`` a packet whose every next hop fails
+        is retried once from the same node, then dropped."""
+        monkeypatch.setattr(routing_base, "MAX_FORWARD_RETRIES", 1)
+        senders: dict[int, list[int]] = {}
+
+        def failing_unicast(self, src, dst, packet, *, on_failed, **kwargs):
+            senders.setdefault(packet.flow_id, []).append(src)
+            on_failed("retry-exhausted")
+
+        monkeypatch.setattr(Network, "unicast", failing_unicast)
+        result = run_experiment(ExperimentConfig(
+            protocol=protocol, n_nodes=40, field_size=600.0,
+            mobility="static", duration=4.0, n_pairs=5, send_interval=1.0,
+            seed=3,
+        ))
+        assert senders
+        reasons = {f.flow_id: f.dropped_reason for f in result.metrics.flows()}
+        for flow_id, srcs in senders.items():
+            assert len(srcs) == 2 and srcs[0] == srcs[1]
+            assert reasons[flow_id] == "link-failure:retry-exhausted"
 
 
 class TestMacBounds:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.core.packet_format import (
     AlertHeader,
     AlertPacketType,
-    SegmentState,
     header_wire_size,
 )
 from repro.core.zones import Direction
@@ -24,6 +23,7 @@ def make_header(**kw):
         h=2,
         h_max=5,
         direction=Direction.VERTICAL,
+        ttl=10,
     )
     defaults.update(kw)
     return AlertHeader(**defaults)
@@ -60,21 +60,17 @@ class TestTaxonomy:
 
 
 class TestAlertHeader:
-    def test_flip_direction(self):
-        h = make_header(direction=Direction.VERTICAL)
-        h.flip_direction()
-        assert h.direction is Direction.HORIZONTAL
-
     def test_clone_is_independent(self):
         h = make_header()
         h.bitmap_chain.append(b"one")
         c = h.clone()
         c.zone_stage = 2
         c.bitmap_chain.append(b"two")
-        c.segment.ttl = 0
+        c.ttl = 0
+        c.retries = 3
         assert h.zone_stage == 0
         assert h.bitmap_chain == [b"one"]
-        assert h.segment.ttl != 0 or h.segment.ttl == c.segment.ttl + 0  # unchanged
+        assert (h.ttl, h.retries) == (10, 0)
         assert c.bitmap_chain == [b"one", b"two"]
 
     def test_clone_preserves_fields(self):
@@ -96,5 +92,8 @@ class TestAlertHeader:
         assert header_wire_size(h, 1024) == header_wire_size(h, 512) + 512
 
     def test_segment_state_defaults(self):
-        s = SegmentState()
-        assert s.ttl == 10 and s.prev_pos is None and s.retries == 0
+        """A segment's hop state is the header's ``GeoHeader`` fields:
+        greedy, no retries yet, the hop budget it was built with."""
+        h = make_header(ttl=4)
+        assert (h.ttl, h.retries, h.mode) == (4, 0, "greedy")
+        assert h.prev_pos is None and h.perimeter_entry is None

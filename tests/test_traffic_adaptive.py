@@ -443,10 +443,12 @@ class TestEndToEnd:
         open_loop = len(first.pairs) / LOSSY.send_interval
         assert first.offered_load_pps < open_loop
 
-    @pytest.mark.parametrize("protocol", ["GPSR", "ALARM", "AO2P", "ZAP"])
+    @pytest.mark.parametrize(
+        "protocol", ["GPSR", "ALARM", "AO2P", "ZAP", "ALERT"]
+    )
     def test_every_hop_failure_reaches_feedback(self, protocol, monkeypatch):
-        """Each per-hop link failure the network reports to a GPSR-based
-        protocol is passed on to ``FlowFeedback.link_failure``."""
+        """Each per-hop link failure the network reports to a protocol
+        is passed on to ``FlowFeedback.link_failure``."""
         failures = []
         unicast = Network.unicast
 

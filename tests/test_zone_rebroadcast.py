@@ -72,7 +72,7 @@ def _decide(rows, n_filler: int, zone_flood: bool = True) -> bool:
     hdr = AlertHeader(
         ptype=AlertPacketType.RREQ, p_src=b"s", p_dst=b"d", zone_dst=ZONE,
         zone_src_enc=b"", td=None, h=0, h_max=4,
-        direction=Direction.VERTICAL, zone_stage=1,
+        direction=Direction.VERTICAL, zone_stage=1, ttl=10,
     )
     packet = Packet(PacketKind.DATA, src=1, dst=0, size_bytes=64, header=hdr)
     proto._maybe_rebroadcast(node, packet)
