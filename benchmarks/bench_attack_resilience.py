@@ -159,12 +159,12 @@ def regen_zap_comparison():
     by enlarging its anonymity zone, but the broadcast bill grows with
     the zone; ALERT's two-step multicast keeps a constant (m-sized)
     footprint."""
-    from repro.routing.zap import ZapConfig, ZapProtocol
+    from repro.routing.zap import ZapProtocol
 
     rows = {}
-    for label, zap_cfg in (
-        ("ZAP static zone", ZapConfig(enlargement_per_packet=0.0)),
-        ("ZAP enlarging zone", ZapConfig(enlargement_per_packet=0.15)),
+    for label, enlargement in (
+        ("ZAP static zone", 0.0),
+        ("ZAP enlarging zone", 0.15),
     ):
         engine = Engine(seed=41)
         fld = Field(1000, 1000)
@@ -172,7 +172,10 @@ def regen_zap_comparison():
         net = Network(engine, fld, make_mobility_factory(cfg, engine, fld), 200)
         metrics = MetricsCollector()
         location = LocationService(net, cost_model=CryptoCostModel())
-        proto = ZapProtocol(net, location, metrics, CryptoCostModel(), zap_cfg)
+        proto = ZapProtocol(
+            net, location, metrics, CryptoCostModel(),
+            enlargement_per_packet=enlargement,
+        )
         observations: list[DeliveryObservation] = []
         proto.zone_delivery_observer = lambda t, r, obs=observations: obs.append(
             DeliveryObservation(time=t, recipients=frozenset(r))

@@ -13,8 +13,7 @@ Run:  python examples/route_visualizer.py
 
 from __future__ import annotations
 
-from repro.core.alert import AlertProtocol
-from repro.core.config import AlertConfig
+from repro.core.alert import FIRST_DIRECTION, AlertProtocol
 from repro.core.zones import destination_zone
 from repro.crypto.cost_model import CryptoCostModel
 from repro.experiments.config import ExperimentConfig
@@ -53,8 +52,7 @@ def run_session(protocol: str):
     zone = None
     if isinstance(proto, AlertProtocol):
         d_pos = net.nodes[DST].position(engine.now)
-        zone = destination_zone(fld.bounds, d_pos, proto.h,
-                                proto.config.first_direction)
+        zone = destination_zone(fld.bounds, d_pos, proto.h, FIRST_DIRECTION)
     return net, routes, zone
 
 

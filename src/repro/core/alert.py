@@ -43,7 +43,12 @@ from repro.core.packet_format import (
     AlertPacketType,
     header_wire_size,
 )
-from repro.core.zones import destination_zone, required_partitions, separate_from_zone
+from repro.core.zones import (
+    Direction,
+    destination_zone,
+    required_partitions,
+    separate_from_zone,
+)
 from repro.crypto.cipher import IntegrityError, PublicKeyCipher, SymmetricCipher
 from repro.crypto.keys import SymmetricKey
 from repro.geometry.primitives import Point, Rect
@@ -52,6 +57,25 @@ from repro.net.packet import Packet, PacketKind
 from repro.routing.base import RoutingProtocol
 from repro.routing.gpsr import next_hop_greedy_batched
 from repro.sim.process import Timer
+
+# Values the paper fixes rather than evaluates.  Each is read at use
+# time, so a test can monkeypatch it.
+
+#: Direction of the canonical first split that computes ``Z_D`` and
+#: ``Z_S`` (§2.4 splits vertically first).
+FIRST_DIRECTION = Direction.VERTICAL
+#: Hop budget of each GPSR segment between two random forwarders: the
+#: paper's GPSR TTL "set to 10" (§5).
+SEGMENT_TTL = 10
+#: Safety bound on partition rounds per packet.  The paper needs at
+#: most ``H`` rounds (H ≤ 6 in Figs. 9–11); voids can force a
+#: forwarder to re-partition, so this leaves room above ``H``.
+MAX_RF_ROUNDS = 12
+#: Source resend timer, seconds, for the §2.5 confirmation (the paper
+#: names the resend but gives no timer value).
+CONFIRMATION_TIMEOUT = 1.0
+#: Resend attempts per unconfirmed packet before giving up (§2.5).
+MAX_RESENDS = 2
 
 
 def _rect_to_bytes(r: Rect) -> bytes:
@@ -129,15 +153,7 @@ class AlertProtocol(RoutingProtocol):
         #: The observable set is the *addressed* recipients (the m-set
         #: under the defense; all in-range zone members without it).
         self.zone_delivery_observer = None
-        self.notify = NotifyAndGo(
-            network,
-            self._rng,
-            self.cost,
-            self.metrics,
-            t=self.config.notify_t,
-            t0=self.config.notify_t0,
-            cover_size_bytes=self.config.cover_size_bytes,
-        )
+        self.notify = NotifyAndGo(network, self._rng, self.cost, self.metrics)
 
     # ------------------------------------------------------------------
     # session management
@@ -154,16 +170,12 @@ class AlertProtocol(RoutingProtocol):
 
         bounds = self.network.field.bounds
         src_pos = self.network.nodes[src].position(self.engine.now)
-        zone_src = destination_zone(
-            bounds, src_pos, self.h, self.config.first_direction
-        )
+        zone_src = destination_zone(bounds, src_pos, self.h, FIRST_DIRECTION)
         zone_src_bytes = _rect_to_bytes(zone_src)
         zone_src_enc = dest_cipher.encrypt(zone_src_bytes)
         self.cost.pubkey_encrypt()
 
-        zd = destination_zone(
-            bounds, record.position, self.h, self.config.first_direction
-        )
+        zd = destination_zone(bounds, record.position, self.h, FIRST_DIRECTION)
         sess = SessionState(
             session_id=self._next_session,
             src=src,
@@ -188,10 +200,7 @@ class AlertProtocol(RoutingProtocol):
             record = self.lookup_destination(packet.src, packet.dst)
             sess.dest_position = record.position
             sess.zd = destination_zone(
-                self.network.field.bounds,
-                record.position,
-                self.h,
-                self.config.first_direction,
+                self.network.field.bounds, record.position, self.h, FIRST_DIRECTION
             )
 
         seq = sess.seq
@@ -245,11 +254,11 @@ class AlertProtocol(RoutingProtocol):
             td=None,
             h=0,
             h_max=self.h,
-            direction=self.config.first_direction,
+            direction=FIRST_DIRECTION,
             wrapped_key=sess.wrapped_key,
             session=sess.session_id,
             seq=seq,
-            ttl=self.config.segment_ttl,
+            ttl=SEGMENT_TTL,
         )
 
     # ------------------------------------------------------------------
@@ -330,7 +339,7 @@ class AlertProtocol(RoutingProtocol):
         hdr: AlertHeader = packet.header
         pos = node.position(self.engine.now)
 
-        if hdr.rf_rounds >= self.config.max_rf_rounds:
+        if hdr.rf_rounds >= MAX_RF_ROUNDS:
             # Void-induced stall: make one last GPSR run straight at
             # the zone (still only zone-granular information).
             if hdr.fallback:
@@ -338,7 +347,7 @@ class AlertProtocol(RoutingProtocol):
                 return
             hdr.fallback = True
             hdr.td = hdr.zone_dst.center
-            hdr.ttl = self.config.segment_ttl
+            hdr.ttl = SEGMENT_TTL
             hdr.retries = 0
             self._segment_forward(node, packet)
             return
@@ -356,7 +365,7 @@ class AlertProtocol(RoutingProtocol):
         hdr.direction = result.next_direction
         hdr.rf_rounds += 1
         hdr.td = result.next_zone.random_point(self._rng)
-        hdr.ttl = self.config.segment_ttl
+        hdr.ttl = SEGMENT_TTL
         hdr.retries = 0
         if packet.flow_id is not None:
             self.metrics.record_partitions(packet.flow_id, result.partitions)
@@ -657,7 +666,7 @@ class AlertProtocol(RoutingProtocol):
             self.engine,
             lambda: self._resend(sess, seq, data_size),
         )
-        timer.start(self.config.confirmation_timeout)
+        timer.start(CONFIRMATION_TIMEOUT)
         sess.confirm_timers[seq] = timer
 
     def _resend(self, sess: SessionState, seq: int, data_size: int) -> None:
@@ -667,7 +676,7 @@ class AlertProtocol(RoutingProtocol):
         # feeds back.
         self._report_timeout(sess.flow_ids.get(seq))
         count = sess.resends.get(seq, 0)
-        if count >= self.config.max_resends:
+        if count >= MAX_RESENDS:
             self.metrics.note("resend_given_up")
             return
         sess.resends[seq] = count + 1
@@ -719,10 +728,10 @@ class AlertProtocol(RoutingProtocol):
             td=None,
             h=0,
             h_max=self.h,
-            direction=self.config.first_direction,
+            direction=FIRST_DIRECTION,
             session=hdr.session,
             seq=seq,
-            ttl=self.config.segment_ttl,
+            ttl=SEGMENT_TTL,
         )
         self.metrics.note("rrep_sent" if ptype is AlertPacketType.RREP else "nak_sent")
         self._continue_from(node, control)

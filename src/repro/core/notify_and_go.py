@@ -26,6 +26,16 @@ from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
 
+# The §2.6 values, read at use time so a test can monkeypatch them.
+
+#: Start ``t`` of the back-off window ``[t, t + t0]``, seconds.
+NOTIFY_T = 0.002
+#: Width ``t0`` of the back-off window, seconds.
+NOTIFY_T0 = 0.02
+#: Size of a neighbor's cover packet: "only several bytes of random
+#: data" (§2.6).
+COVER_SIZE_BYTES = 16
+
 
 class NotifyAndGo:
     """Coordinates one notify-and-go round per outgoing source packet.
@@ -41,10 +51,9 @@ class NotifyAndGo:
         tallied here.
     metrics:
         Cover-traffic counters land in ``metrics.counters``.
-    t, t0:
-        The back-off window ``[t, t + t0]``.
-    cover_size_bytes:
-        Size of each neighbor's cover packet.
+
+    The back-off window is ``[NOTIFY_T, NOTIFY_T + NOTIFY_T0]`` and
+    each cover carries ``COVER_SIZE_BYTES`` of random data.
     """
 
     def __init__(
@@ -53,22 +62,12 @@ class NotifyAndGo:
         rng: np.random.Generator,
         cost: CryptoCostModel,
         metrics: MetricsCollector,
-        t: float = 0.002,
-        t0: float = 0.02,
-        cover_size_bytes: int = 16,
     ) -> None:
         self.network = network
         self.engine = network.engine
         self._rng = rng
         self.cost = cost
         self.metrics = metrics
-        self.t = t
-        self.t0 = t0
-        self.cover_size_bytes = cover_size_bytes
-
-    def anonymity_set_size(self, source: Node) -> int:
-        """η + 1: the source plus its live neighbors."""
-        return 1 + len(source.neighbors.live_entries(self.engine.now))
 
     def run(self, source: Node, send_real: Callable[[], None]) -> float:
         """Launch one round: covers from neighbors, real send from S.
@@ -81,9 +80,10 @@ class NotifyAndGo:
         self.metrics.note("notify_rounds")
         self.metrics.note("notify_anonymity_set", len(entries) + 1)
 
+        t, t0 = NOTIFY_T, NOTIFY_T0
         # Neighbors' cover packets at independent back-offs.
         for entry in entries:
-            backoff = float(self._rng.uniform(self.t, self.t + self.t0))
+            backoff = float(self._rng.uniform(t, t + t0))
             neighbor_id = entry.link_address
             self.engine.schedule_in(
                 backoff,
@@ -93,7 +93,7 @@ class NotifyAndGo:
             )
 
         # The source's real packet.
-        source_backoff = float(self._rng.uniform(self.t, self.t + self.t0))
+        source_backoff = float(self._rng.uniform(t, t + t0))
         self.engine.schedule_in(
             source_backoff, send_real, category="data", cancellable=False
         )
@@ -108,7 +108,7 @@ class NotifyAndGo:
         # .astype/.tobytes consumes the stream exactly like the former
         # per-byte int() loop (same integers() call), without the loop.
         payload = (
-            self._rng.integers(0, 256, size=self.cover_size_bytes)
+            self._rng.integers(0, 256, size=COVER_SIZE_BYTES)
             .astype(np.uint8)
             .tobytes()
         )
@@ -121,7 +121,7 @@ class NotifyAndGo:
             kind=PacketKind.COVER,
             src=node_id,
             dst=-1,
-            size_bytes=self.cover_size_bytes + len(ttl_enc),
+            size_bytes=len(payload) + len(ttl_enc),
             payload=payload,
             created_at=self.engine.now,
         )

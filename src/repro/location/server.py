@@ -36,10 +36,6 @@ class LocationServer:
     def __init__(self, server_id: int) -> None:
         self.id = server_id
         self._records: dict[int, LocationRecord] = {}
-        #: Whether ``_records`` is a full-round dict shared (by
-        #: reference) with peer servers via :meth:`adopt_round`; any
-        #: individual write copies before mutating.
-        self._round_shared = False
         self._alive = True
         #: write/read counters for the §4.3 overhead accounting
         self.writes = 0
@@ -59,68 +55,21 @@ class LocationServer:
         """Bring the server back up."""
         self._alive = True
 
-    def store(self, record: LocationRecord, replicated: bool = False) -> None:
-        """Write a record (no-op while failed).
-
-        ``replicated`` marks writes arriving from a peer rather than a
-        node, counted separately for the overhead model.
-        """
-        if not self._alive:
-            return
-        if self._round_shared:
-            # Copy-on-write: the table is shared with peers that
-            # adopted the same round — diverge privately.
-            self._records = dict(self._records)
-            self._round_shared = False
-        self._records[record.node_id] = record
-        if replicated:
-            self.replications += 1
-        else:
-            self.writes += 1
-
-    def store_many(
-        self, records: dict[int, LocationRecord], home_count: int
-    ) -> None:
-        """Bulk write one update round's records (no-op while failed).
-
-        Equivalent to calling :meth:`store` for every record — same
-        resulting table, same counter totals — but the table merge is a
-        single C-level ``dict.update``.  ``home_count`` of the records
-        are writes from this server's own nodes; the rest arrived via
-        peer replication.  The aliveness check holds for the whole
-        batch because a round is one simulation event — no server can
-        fail or restore in the middle of it.
-        """
-        if not self._alive:
-            return
-        self._records.update(records)
-        self.writes += home_count
-        self.replications += len(records) - home_count
-
     def adopt_round(
         self, records: dict[int, LocationRecord], home_count: int
     ) -> None:
-        """Adopt a full update round *by reference* (no-op while failed).
+        """Adopt one update round's records (no-op while failed).
 
-        ``records`` must cover the entire node population — exactly
-        what :meth:`LocationService._write_round` produces — so for a
-        server whose table is itself a (possibly older) full round,
-        ``update`` and wholesale replacement yield the same table, and
-        the round dict can be shared across all ``N_L`` replicas
-        instead of merged ``N`` records at a time into each.  A server
-        that diverged through individual :meth:`store` calls falls back
-        to the merge (extra keys must survive, exactly as
-        :meth:`store_many` would keep them); :meth:`store` on a shared
-        table copies before writing.  Resulting tables, reads, and
-        write/replication counters are identical to :meth:`store_many`.
+        ``records`` covers the whole node population, as
+        :meth:`LocationService._write_round` produces it, so it replaces
+        the table outright, and every replica holds the one dict by
+        reference instead of a merged copy.  ``home_count`` of the
+        records are writes from this server's own nodes; the rest
+        arrived by peer replication.
         """
         if not self._alive:
             return
-        if self._round_shared or not self._records:
-            self._records = records
-            self._round_shared = True
-        else:
-            self._records.update(records)
+        self._records = records
         self.writes += home_count
         self.replications += len(records) - home_count
 
@@ -130,7 +79,3 @@ class LocationServer:
             return None
         self.reads += 1
         return self._records.get(node_id)
-
-    def known_nodes(self) -> list[int]:
-        """Ids of all registered nodes (diagnostic)."""
-        return sorted(self._records)

@@ -37,10 +37,9 @@ class LocationService:
     Parameters
     ----------
     network:
-        The network whose nodes this service covers.
-    n_servers:
-        Number of replicated servers; the paper's §4.3 overhead
-        analysis wants ``N_L ≈ sqrt(N)``, the default.
+        The network whose nodes this service covers.  It gets
+        ``N_L = round(sqrt(N))`` replicated servers (at least one), the
+        count the paper's §4.3 overhead analysis wants.
     updates_enabled:
         The *destination update* toggle.  When ``True`` every node
         pushes its position each ``update_interval``; when ``False``
@@ -56,16 +55,11 @@ class LocationService:
     def __init__(
         self,
         network: Network,
-        n_servers: int | None = None,
         updates_enabled: bool = True,
         update_interval: float = 2.0,
         cost_model: CryptoCostModel | None = None,
     ) -> None:
-        n = network.n_nodes
-        if n_servers is None:
-            n_servers = max(int(round(n**0.5)), 1)
-        if n_servers < 1:
-            raise ValueError("need at least one location server")
+        n_servers = max(int(round(network.n_nodes**0.5)), 1)
         self.network = network
         self.updates_enabled = updates_enabled
         self.update_interval = update_interval
@@ -111,9 +105,9 @@ class LocationService:
         warm-cache scalar path).  Each node's position cache is primed with its
         fix, leaving per-node state as the scalar loop would.  Each
         server then adopts the round dict by reference in one
-        :meth:`LocationServer.adopt_round` call (copy-on-write against
-        individual stores); resulting tables and write/replication
-        counter totals are identical to per-record stores.
+        :meth:`LocationServer.adopt_round` call; resulting tables and
+        write/replication counter totals are identical to per-record
+        stores.
         """
         now = self.network.engine.now
         nodes = self.network.nodes
@@ -144,9 +138,9 @@ class LocationService:
         for server in self.servers:
             home_count = base + (1 if server.id < extra else 0)
             # The round covers every node, so replicas adopt the one
-            # dict by reference (copy-on-write on any individual
-            # store) instead of merging N records into each of N_L
-            # tables — the service's former dominant cost at large N.
+            # dict by reference instead of merging N records into each
+            # of N_L tables — the service's former dominant cost at
+            # large N.
             server.adopt_round(records, home_count)
 
     # ------------------------------------------------------------------

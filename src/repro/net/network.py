@@ -36,6 +36,21 @@ from repro.sim.process import PeriodicTask
 #: Called after every link-layer exchange: (flow_id, attempts, success).
 TxListener = Callable[[int | None, int, bool], None]
 
+# Simulator settings the paper leaves open.  Each is read where it is
+# used, so a test can monkeypatch it (before building a network, for
+# the two that construction reads).
+
+#: Maximum staleness of the cached position snapshot, seconds.  At the
+#: paper's top speed (8 m/s, Fig. 14b) 0.2 s bounds the position error
+#: to 1.6 m, negligible against the 250 m radius (§5).
+SNAPSHOT_RESOLUTION = 0.2
+#: RSA modulus width of node keypairs.  The keys are functional toys;
+#: the crypto cost model charges the cost of the paper's real keys.
+KEYPAIR_BITS = 64
+#: Carrier-sense radius as a multiple of the transmission range
+#: (802.11's ~2.2×) for the MAC's contention-load count.
+CARRIER_SENSE_FACTOR = 2.2
+
 
 def _event_category(packet: Packet) -> str:
     """Engine event-counter category for a frame delivery."""
@@ -59,17 +74,11 @@ class Network:
     radio:
         Physical-layer parameters (250 m unit disk by default).
     hello_interval:
-        Beacon period, seconds.
-    snapshot_resolution:
-        Maximum staleness of the cached position snapshot; at the
-        paper's top speed (8 m/s) the default 0.2 s bounds the
-        position error to 1.6 m, negligible against a 250 m radius.
-    keypair_bits:
-        RSA modulus width for node keypairs (functional toy keys;
-        realistic key *cost* is charged by the crypto cost model).
-    carrier_sense_factor:
-        Carrier-sense radius as a multiple of the transmission range
-        (802.11's ~2.2× is the default) for the contention-load count.
+        Beacon period, seconds.  A neighbor-table entry lives three
+        beacon periods.
+
+    ``SNAPSHOT_RESOLUTION``, ``KEYPAIR_BITS`` and
+    ``CARRIER_SENSE_FACTOR`` are module constants.
     """
 
     def __init__(
@@ -80,10 +89,6 @@ class Network:
         n_nodes: int,
         radio: RadioModel | None = None,
         hello_interval: float = 1.0,
-        snapshot_resolution: float = 0.2,
-        keypair_bits: int = 64,
-        carrier_sense_factor: float = 2.2,
-        neighbor_ttl: float | None = None,
     ) -> None:
         if n_nodes <= 0:
             raise ValueError(f"n_nodes must be positive, got {n_nodes}")
@@ -91,15 +96,14 @@ class Network:
         self.field = field
         self.radio = radio if radio is not None else RadioModel()
         self.hello_interval = hello_interval
-        self.snapshot_resolution = snapshot_resolution
-        self.cs_range = carrier_sense_factor * self.radio.range_m
+        self.cs_range = CARRIER_SENSE_FACTOR * self.radio.range_m
         self.mac = Mac80211Dcf(self.radio, engine.rng.stream("mac"))
-        ttl = neighbor_ttl if neighbor_ttl is not None else 3.0 * hello_interval
+        ttl = 3.0 * hello_interval
 
         # The "keys" stream is private to key generation, so drawing
         # every keypair up front leaves the per-node streams untouched.
         keypairs = generate_keypair(
-            engine.rng.stream("keys"), bits=keypair_bits, size=n_nodes
+            engine.rng.stream("keys"), bits=KEYPAIR_BITS, size=n_nodes
         )
         self.nodes: list[Node] = []
         for i, keypair in enumerate(keypairs):
@@ -188,8 +192,8 @@ class Network:
     def snapshot(self) -> tuple[np.ndarray, GridIndex]:
         """Cached (positions, spatial index) at the current time.
 
-        Refreshed when the cache is ``snapshot_resolution`` seconds old
-        or older (so ``snapshot_resolution=0.0`` means "always fresh").
+        Refreshed when the cache is ``SNAPSHOT_RESOLUTION`` seconds old
+        or older (so ``SNAPSHOT_RESOLUTION = 0.0`` means "always fresh").
         A refresh hands the newly interpolated positions to
         :meth:`GridIndex.adopt_positions`, which rebuckets only nodes
         that crossed a cell boundary, falling back to a from-scratch
@@ -201,7 +205,7 @@ class Network:
         index = self._snapshot_index
         if (
             index is not None
-            and now - self._snapshot_time < self.snapshot_resolution
+            and now - self._snapshot_time < SNAPSHOT_RESOLUTION
         ):
             assert self._snapshot_positions is not None
             return self._snapshot_positions, index

@@ -28,8 +28,6 @@ Model
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.geometry.primitives import Point
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
@@ -37,40 +35,23 @@ from repro.routing.gpsr import GpsrHeader, GpsrProtocol
 from repro.sim.process import PeriodicTask
 
 
-@dataclass(frozen=True)
-class AlarmConfig:
-    """ALARM tunables.
-
-    Parameters
-    ----------
-    dissemination_interval:
-        Period of the identity/location dissemination (paper: 30 s).
-    ttl:
-        Maximum hops per data packet.
-    """
-
-    dissemination_interval: float = 30.0
-    ttl: int = 10
-
-
 class AlarmProtocol(GpsrProtocol):
     """The ALARM comparison protocol."""
 
     name = "ALARM"
+    #: Period of the identity/location dissemination, seconds: "such
+    #: dissemination period was set to 30 s" (§5).
+    dissemination_interval = 30.0
 
-    def __init__(self, network, location, metrics=None, cost_model=None,
-                 config: AlarmConfig | None = None) -> None:
-        super().__init__(
-            network, location, metrics, cost_model,
-            config if config is not None else AlarmConfig(),
-        )
+    def __init__(self, network, location, metrics=None, cost_model=None) -> None:
+        super().__init__(network, location, metrics, cost_model)
         #: the "secure map": node id -> position as of the last round
         self.secure_map: dict[int, Point] = {}
         self.dissemination_rounds = 0
         self._run_dissemination_round()
         self._task = PeriodicTask(
             self.engine,
-            self.config.dissemination_interval,
+            self.dissemination_interval,
             self._run_dissemination_round,
         )
 
@@ -107,11 +88,6 @@ class AlarmProtocol(GpsrProtocol):
         """Nodes in id order (kept as a hook for randomised rounds)."""
         return list(self.network.nodes)
 
-    def amortized_dissemination_rx(self) -> float:
-        """Dissemination receptions per data packet sent so far."""
-        sent = max(self.metrics.packets_sent, 1)
-        return self.metrics.counters.get("dissemination_rx", 0.0) / sent
-
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
@@ -121,7 +97,7 @@ class AlarmProtocol(GpsrProtocol):
             self._dropped(packet, "unknown-destination")
             return
         packet.header = GpsrHeader(
-            target=target, dst_addr=packet.dst, ttl=self.config.ttl
+            target=target, dst_addr=packet.dst, ttl=self.ttl
         )
         node = self.network.nodes[packet.src]
         packet.record_visit(node.id)

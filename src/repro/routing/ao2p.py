@@ -27,7 +27,6 @@ Model
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from repro.geometry.primitives import Point
@@ -37,48 +36,32 @@ from repro.net.packet import Packet, PacketKind
 from repro.routing.gpsr import GpsrHeader, GpsrProtocol
 
 
-@dataclass(frozen=True)
-class Ao2pConfig:
-    """AO2P tunables.
-
-    Parameters
-    ----------
-    proxy_extension_m:
-        How far beyond the destination (along the S→D ray) the proxy
-        position is placed.
-    contention_classes:
-        Number of distance classes in the contention phase.
-    contention_slot_s:
-        Per-class contention slot time; the expected per-hop contention
-        delay is ``(classes / 2) · slot``.
-    ttl:
-        Maximum hops per packet.
-    """
-
-    proxy_extension_m: float = 200.0
-    contention_classes: int = 4
-    contention_slot_s: float = 0.002
-    ttl: int = 12
-
-
 class Ao2pProtocol(GpsrProtocol):
     """The AO2P comparison protocol."""
 
     name = "AO2P"
+    # §5 describes AO2P's proxy and contention phase but gives none of
+    # these values.
+    #: Maximum hops per packet.
+    ttl = 12
+    #: How far beyond the destination, along the S→D ray, the proxy
+    #: position is placed, metres.
+    proxy_extension_m = 200.0
+    #: Number of distance classes in the contention phase.
+    contention_classes = 4
+    #: Per-class contention slot, seconds; the expected per-hop
+    #: contention delay is ``(classes / 2) · slot``.
+    contention_slot_s = 0.002
 
-    def __init__(self, network, location, metrics=None, cost_model=None,
-                 config: Ao2pConfig | None = None) -> None:
-        super().__init__(
-            network, location, metrics, cost_model,
-            config if config is not None else Ao2pConfig(),
-        )
+    def __init__(self, network, location, metrics=None, cost_model=None) -> None:
+        super().__init__(network, location, metrics, cost_model)
         self._rng = self.engine.rng.stream("ao2p")
 
     # ------------------------------------------------------------------
     def _proxy_position(self, src_pos: Point, dst_pos: Point) -> Point:
         """The anonymised destination: beyond D on the S→D ray."""
         d = src_pos.distance_to(dst_pos)
-        extension = d + self.config.proxy_extension_m
+        extension = d + self.proxy_extension_m
         proxy = src_pos.toward(dst_pos, extension)
         return self.network.field.clamp(proxy)
 
@@ -90,10 +73,10 @@ class Ao2pProtocol(GpsrProtocol):
         later expected winning slot (bounded by the class count).
         """
         if n_candidates <= 0:
-            return self.config.contention_slot_s
-        occupied = min(self.config.contention_classes, n_candidates)
+            return self.contention_slot_s
+        occupied = min(self.contention_classes, n_candidates)
         slot = 1 + int(self._rng.integers(0, occupied))
-        return slot * self.config.contention_slot_s
+        return slot * self.contention_slot_s
 
     # ------------------------------------------------------------------
     def _initiate(self, packet: Packet) -> None:
@@ -103,7 +86,7 @@ class Ao2pProtocol(GpsrProtocol):
         packet.header = GpsrHeader(
             target=self._proxy_position(src_pos, record.position),
             dst_addr=packet.dst,
-            ttl=self.config.ttl,
+            ttl=self.ttl,
         )
         node = self.network.nodes[packet.src]
         packet.record_visit(node.id)

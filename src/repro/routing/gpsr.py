@@ -232,19 +232,6 @@ def next_hop_geographic(
 # ----------------------------------------------------------------------
 # the protocol
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class GpsrConfig:
-    """GPSR tunables.
-
-    Parameters
-    ----------
-    ttl:
-        Maximum hops per packet (paper: 10).
-    """
-
-    ttl: int = 10
-
-
 @dataclass
 class GpsrHeader(GeoHeader):
     """Per-packet GPSR routing state: the position routed toward and
@@ -262,16 +249,13 @@ class GpsrProtocol(RoutingProtocol):
     in :meth:`_dispatch` (AO2P also its hand-off rule and contention in
     :meth:`_direct_hand_off` and :meth:`_unicast`), and shares
     :meth:`_route`, :meth:`_transmit` and :meth:`_on_link_failure`,
-    which retries under :meth:`RoutingProtocol._retry_hop`.  A
-    subclass's ``config`` carries ``ttl`` as :class:`GpsrConfig` does.
+    which retries under :meth:`RoutingProtocol._retry_hop`.  Each
+    sets its own hop budget ``ttl``.
     """
 
     name = "GPSR"
-
-    def __init__(self, network, location, metrics=None, cost_model=None,
-                 config: GpsrConfig | None = None) -> None:
-        super().__init__(network, location, metrics, cost_model)
-        self.config = config if config is not None else GpsrConfig()
+    #: Maximum hops per packet: "a predefined TTL … set to 10" (§5).
+    ttl = 10
 
     # -- origination ---------------------------------------------------
     def _initiate(self, packet: Packet) -> None:
@@ -279,7 +263,7 @@ class GpsrProtocol(RoutingProtocol):
         packet.header = GpsrHeader(
             target=record.position,
             dst_addr=packet.dst,
-            ttl=self.config.ttl,
+            ttl=self.ttl,
         )
         node = self.network.nodes[packet.src]
         packet.record_visit(node.id)

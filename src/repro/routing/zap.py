@@ -12,8 +12,9 @@ and hop-retry rule) toward the zone's centre.
 "dynamically enlarges the range of anonymous zones to broadcast the
 messages or minimizes communication session time" — and argues both
 are costly; ALERT's two-step multicast is the paper's alternative.
-This implementation exposes the enlargement knob so the attack
-benchmark can reproduce that comparison.
+This implementation exposes the enlargement as the one constructor
+option, ``enlargement_per_packet``, so the attack benchmark can
+reproduce that comparison.
 """
 
 from __future__ import annotations
@@ -25,29 +26,6 @@ from repro.geometry.primitives import Point, Rect
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
 from repro.routing.gpsr import GeoHeader, GpsrProtocol
-
-
-@dataclass(frozen=True)
-class ZapConfig:
-    """ZAP tunables.
-
-    Parameters
-    ----------
-    zone_side:
-        Initial side length of the square anonymity zone, metres.
-    enlargement_per_packet:
-        Fractional growth of the zone side per packet of a session —
-        ZAP's intersection-attack countermeasure (0 disables it).
-    max_zone_side:
-        Cap on the enlarged zone.
-    ttl:
-        Hop budget for the geo-forwarding leg.
-    """
-
-    zone_side: float = 250.0
-    enlargement_per_packet: float = 0.0
-    max_zone_side: float = 1000.0
-    ttl: int = 12
 
 
 @dataclass
@@ -64,13 +42,20 @@ class ZapProtocol(GpsrProtocol):
     """The ZAP comparison protocol (destination anonymity only)."""
 
     name = "ZAP"
+    # The ALERT paper gives none of ZAP's values.
+    #: Hop budget for the geo-forwarding leg.
+    ttl = 12
+    #: Initial side length of the square anonymity zone, metres.
+    zone_side = 250.0
+    #: Cap on the enlarged zone's side, metres.
+    max_zone_side = 1000.0
 
     def __init__(self, network, location, metrics=None, cost_model=None,
-                 config: ZapConfig | None = None) -> None:
-        super().__init__(
-            network, location, metrics, cost_model,
-            config if config is not None else ZapConfig(),
-        )
+                 enlargement_per_packet: float = 0.0) -> None:
+        super().__init__(network, location, metrics, cost_model)
+        #: fractional growth of the zone side per packet of a session,
+        #: ZAP's intersection-attack countermeasure (§3.3; 0 disables it)
+        self.enlargement_per_packet = enlargement_per_packet
         self._session_seq: dict[tuple[int, int], int] = {}
         self._seen: set[tuple] = set()
         #: optional hook: (time, in-zone recipient ids) per flood —
@@ -81,9 +66,8 @@ class ZapProtocol(GpsrProtocol):
     def _zone_for(self, center: Point, seq: int) -> Rect:
         """The (possibly enlarged) anonymity zone for packet ``seq``."""
         side = min(
-            self.config.zone_side
-            * (1.0 + self.config.enlargement_per_packet * seq),
-            self.config.max_zone_side,
+            self.zone_side * (1.0 + self.enlargement_per_packet * seq),
+            self.max_zone_side,
         )
         half = side / 2.0
         bounds = self.network.field.bounds
@@ -100,7 +84,7 @@ class ZapProtocol(GpsrProtocol):
         self._session_seq[key] = seq + 1
         packet.header = ZapHeader(
             zone=self._zone_for(record.position, seq),
-            ttl=self.config.ttl,
+            ttl=self.ttl,
             session=packet.src * 100_003 + packet.dst,
             seq=seq,
         )

@@ -8,17 +8,17 @@ from repro.crypto.cost_model import CryptoCostModel
 from repro.experiments.metrics import MetricsCollector
 from repro.geometry.primitives import Point
 from repro.location.service import LocationService
-from repro.routing.alarm import AlarmConfig, AlarmProtocol
-from repro.routing.ao2p import Ao2pConfig, Ao2pProtocol
+from repro.routing.alarm import AlarmProtocol
+from repro.routing.ao2p import Ao2pProtocol
 from tests.conftest import build_network
 
 
-def run_proto(cls, cfg=None, n_nodes=50, seed=11, n_packets=8):
+def run_proto(cls, n_nodes=50, seed=11, n_packets=8):
     net = build_network(n_nodes=n_nodes, seed=seed)
     metrics = MetricsCollector()
     cost = CryptoCostModel()
     location = LocationService(net, updates_enabled=True, cost_model=cost)
-    proto = cls(net, location, metrics, cost, cfg)
+    proto = cls(net, location, metrics, cost)
     net.start_hello()
     net.engine.run(until=0.5)
     for _ in range(n_packets):
@@ -58,14 +58,13 @@ class TestAlarm:
         assert metrics.mean_latency() > 0.2
 
     def test_amortized_dissemination_positive(self):
-        _, proto, _, _ = run_proto(AlarmProtocol)
-        assert proto.amortized_dissemination_rx() > 0
+        _, _, metrics, _ = run_proto(AlarmProtocol)
+        assert metrics.counters["dissemination_rx"] / metrics.packets_sent > 0
 
-    def test_stale_map_positions(self):
+    def test_stale_map_positions(self, monkeypatch):
         """The secure map holds round-start positions, not live ones."""
-        net, proto, _, _ = run_proto(
-            AlarmProtocol, AlarmConfig(dissemination_interval=1000.0)
-        )
+        monkeypatch.setattr(AlarmProtocol, "dissemination_interval", 1000.0)
+        net, proto, _, _ = run_proto(AlarmProtocol)
         errs = [
             proto.secure_map[n.id].distance_to(n.position(net.engine.now))
             for n in net.nodes
@@ -95,10 +94,11 @@ class TestAo2p:
 
     def test_contention_delay_positive_and_bounded(self):
         _, proto, _, _ = run_proto(Ao2pProtocol, n_packets=1)
-        cfg = proto.config
         for n in (0, 1, 5, 50):
             delay = proto._contention_delay(n)
-            assert 0 < delay <= (cfg.contention_classes + 1) * cfg.contention_slot_s
+            assert 0 < delay <= (
+                (proto.contention_classes + 1) * proto.contention_slot_s
+            )
 
     def test_latency_exceeds_alarm_slightly(self):
         """Paper: 'the latency of AO2P is a little higher than ALARM'."""

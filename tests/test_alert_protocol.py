@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.alert import AlertProtocol
+from repro.core import alert
+from repro.core.alert import FIRST_DIRECTION, MAX_RF_ROUNDS, AlertProtocol
 from repro.core.config import AlertConfig
 from repro.core.packet_format import AlertPacketType
 from repro.core.zones import destination_zone
@@ -89,7 +90,7 @@ class TestAnonymityMechanics:
     def test_partitions_bounded_by_rounds(self):
         _, proto, metrics, _ = run_alert()
         for f in metrics.flows():
-            assert f.partitions <= proto.config.max_rf_rounds * proto.h
+            assert f.partitions <= MAX_RF_ROUNDS * proto.h
 
 
 class TestSessions:
@@ -112,10 +113,9 @@ class TestSessions:
         sess = proto._sessions[(0, 59)]
         d_pos = net.nodes[59].position(net.engine.now)
         # With updates on, Z_D tracks D within the update interval.
-        zd_now = destination_zone(
-            net.field.bounds, d_pos, proto.h, proto.config.first_direction
-        )
-        assert sess.zd.intersects(zd_now)
+        zd_now = destination_zone(net.field.bounds, d_pos, proto.h, FIRST_DIRECTION)
+        # Zones of one H are cells of one grid: equal or disjoint.
+        assert sess.zd.contains(zd_now.center)
 
 
 class TestReliability:
@@ -125,10 +125,9 @@ class TestReliability:
         assert metrics.counters.get("rrep_sent", 0) >= 1
         assert metrics.counters.get("rrep_received", 0) >= 1
 
-    def test_resend_on_missing_confirmation(self):
-        cfg = AlertConfig(
-            h_override=4, enable_confirmation=True, confirmation_timeout=0.3
-        )
+    def test_resend_on_missing_confirmation(self, monkeypatch):
+        monkeypatch.setattr(alert, "CONFIRMATION_TIMEOUT", 0.3)
+        cfg = AlertConfig(h_override=4, enable_confirmation=True)
         net, proto, metrics, _ = run_alert(config=cfg, n_packets=6, gap=1.0)
         # Some confirmations inevitably miss (mobile, lossy) → resends
         # happen or every RREP arrived; either way the machinery ran.

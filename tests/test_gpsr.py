@@ -13,7 +13,6 @@ from repro.geometry.primitives import Point
 from repro.location.service import LocationService
 from repro.net.neighbor_table import NeighborEntry
 from repro.routing.gpsr import (
-    GpsrConfig,
     GpsrProtocol,
     gabriel_neighbors,
     next_hop_greedy,
@@ -82,12 +81,12 @@ class TestRightHand:
         assert next_hop_right_hand(Point(0, 0), Point(1, 0), []) is None
 
 
-def run_gpsr(n_nodes=50, seed=11, n_packets=10, static=False, **cfg_kw):
+def run_gpsr(n_nodes=50, seed=11, n_packets=10, static=False):
     net = build_network(n_nodes=n_nodes, seed=seed, static=static)
     metrics = MetricsCollector()
     cost = CryptoCostModel()
     location = LocationService(net, updates_enabled=True, cost_model=cost)
-    proto = GpsrProtocol(net, location, metrics, cost, GpsrConfig(**cfg_kw))
+    proto = GpsrProtocol(net, location, metrics, cost)
     net.start_hello()
     net.engine.run(until=0.5)
     for i in range(n_packets):
@@ -128,8 +127,9 @@ class TestGpsrProtocol:
         with pytest.raises(ValueError):
             proto.send_data(3, 3)
 
-    def test_ttl_bounds_path(self):
-        _, _, metrics = run_gpsr(ttl=2)
+    def test_ttl_bounds_path(self, monkeypatch):
+        monkeypatch.setattr(GpsrProtocol, "ttl", 2)
+        _, _, metrics = run_gpsr()
         for f in metrics.flows():
             assert f.tx_count <= 2 + 1  # ttl hops (+direct-neighbor hop)
 

@@ -27,7 +27,7 @@ from repro.geometry.primitives import Point
 from repro.location.service import LocationService
 from repro.mobility.static import StaticPosition
 from repro.net.network import Network
-from repro.routing.gpsr import GpsrConfig, GpsrProtocol
+from repro.routing.gpsr import GpsrProtocol
 from repro.sim.engine import Engine
 
 POSITIONS = [
@@ -63,10 +63,11 @@ class TestVoidTopology:
             assert POSITIONS[n].distance_to(d) > s.distance_to(d)
 
     def test_perimeter_mode_delivers(self):
+        assert GpsrProtocol.ttl == 10
         net = build_void_network()
         metrics = MetricsCollector()
         location = LocationService(net, cost_model=CryptoCostModel())
-        proto = GpsrProtocol(net, location, metrics, config=GpsrConfig(ttl=10))
+        proto = GpsrProtocol(net, location, metrics)
         net.start_hello()
         net.engine.run(until=0.5)
         proto.send_data(0, 5)
@@ -76,11 +77,12 @@ class TestVoidTopology:
         assert flow.path == [0, 1, 3, 4, 5]
         location.stop()
 
-    def test_tight_ttl_kills_the_detour(self):
+    def test_tight_ttl_kills_the_detour(self, monkeypatch):
+        monkeypatch.setattr(GpsrProtocol, "ttl", 2)
         net = build_void_network()
         metrics = MetricsCollector()
         location = LocationService(net, cost_model=CryptoCostModel())
-        proto = GpsrProtocol(net, location, metrics, config=GpsrConfig(ttl=2))
+        proto = GpsrProtocol(net, location, metrics)
         net.start_hello()
         net.engine.run(until=0.5)
         proto.send_data(0, 5)

@@ -19,6 +19,7 @@ from repro.crypto import keys
 from repro.crypto.keys import _is_prime, generate_keypair
 from repro.geometry.field import Field
 from repro.mobility.static import StaticPosition
+from repro.net import network
 from repro.net.network import Network
 from repro.sim.engine import Engine
 from tests.oracles import is_probable_prime, scalar_keypair
@@ -158,11 +159,12 @@ class TestRange:
         with pytest.raises(ValueError, match="size"):
             generate_keypair(np.random.default_rng(0), size=-1)
 
-    def test_network_keypair_bits_names_bits(self):
+    def test_network_keypair_bits_names_bits(self, monkeypatch):
+        monkeypatch.setattr(network, "KEYPAIR_BITS", 4)
         fld = Field(100.0, 100.0)
         with pytest.raises(ValueError, match="bits must be in .*, got 4$"):
             Network(
                 Engine(seed=1), fld,
                 lambda i, rng: StaticPosition(fld.random_point(rng)),
-                3, keypair_bits=4,
+                3,
             )

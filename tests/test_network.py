@@ -409,7 +409,7 @@ class TestHelloRoundParity:
             # cell groups and sorts them by receiver.
             pytest.param(5, 600, None, 1000.0 * math.sqrt(3), id="5-n600"),
             # Snapshot refreshed earlier but still within
-            # snapshot_resolution: the round interpolates positions.
+            # SNAPSHOT_RESOLUTION: the round interpolates positions.
             pytest.param(3, 40, 0.6, 600.0, id="3-stale-snapshot"),
             # Every node inside one grid cell: a single candidate group,
             # whose pairs need no receiver sort.

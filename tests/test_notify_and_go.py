@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.core import notify_and_go
 from repro.core.notify_and_go import NotifyAndGo
 from repro.crypto.cost_model import CryptoCostModel
 from repro.experiments.metrics import MetricsCollector
@@ -9,21 +10,21 @@ from repro.net.packet import Packet, PacketKind
 from tests.conftest import build_network
 
 
-def make_nag(net, t=0.002, t0=0.02):
+def make_nag(net):
     metrics = MetricsCollector()
     cost = CryptoCostModel()
-    nag = NotifyAndGo(
-        net, net.engine.rng.stream("nag"), cost, metrics, t=t, t0=t0
-    )
+    nag = NotifyAndGo(net, net.engine.rng.stream("nag"), cost, metrics)
     return nag, metrics, cost
 
 
 class TestNotifyAndGo:
-    def test_real_send_deferred_within_window(self):
+    def test_real_send_deferred_within_window(self, monkeypatch):
+        monkeypatch.setattr(notify_and_go, "NOTIFY_T", 0.01)
+        monkeypatch.setattr(notify_and_go, "NOTIFY_T0", 0.05)
         net = build_network(static=True)
         net.start_hello()
         net.engine.run(until=0.5)
-        nag, _, _ = make_nag(net, t=0.01, t0=0.05)
+        nag, _, _ = make_nag(net)
         fired = []
         backoff = nag.run(net.nodes[0], lambda: fired.append(net.engine.now))
         assert 0.01 <= backoff <= 0.06
@@ -47,10 +48,11 @@ class TestNotifyAndGo:
         net = build_network(static=True)
         net.start_hello()
         net.engine.run(until=0.5)
-        nag, _, _ = make_nag(net)
+        nag, metrics, _ = make_nag(net)
         source = net.nodes[0]
         eta = len(source.neighbors.live_entries(net.engine.now))
-        assert nag.anonymity_set_size(source) == eta + 1
+        nag.run(source, lambda: None)
+        assert metrics.counters["notify_anonymity_set"] == eta + 1
 
     def test_cover_receivers_charge_decrypt(self):
         net = build_network(static=True)

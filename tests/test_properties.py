@@ -100,9 +100,8 @@ class TestSystemProperties:
         """ALERT respects its configured partition bound at any H."""
         cfg = _mini_config("ALERT", seed).with_(h_override=h)
         r = run_experiment(cfg)
-        from repro.core.alert import AlertProtocol
+        from repro.core.alert import MAX_RF_ROUNDS, AlertProtocol
         assert isinstance(r.protocol, AlertProtocol)
         assert r.protocol.h == h
         for f in r.metrics.flows():
-            max_rounds = r.protocol.config.max_rf_rounds
-            assert f.partitions <= (max_rounds + 1) * h
+            assert f.partitions <= (MAX_RF_ROUNDS + 1) * h

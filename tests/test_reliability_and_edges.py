@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import alert
 from repro.core.alert import AlertProtocol
 from repro.core.config import AlertConfig
 from repro.core.intersection_defense import coverage_percent
@@ -21,60 +22,47 @@ from repro.net.mac import Mac80211Dcf
 from repro.net.network import Network
 from repro.net.radio import RadioModel
 from repro.routing import base as routing_base
-from repro.routing.alarm import AlarmConfig
-from repro.routing.ao2p import Ao2pConfig
-from repro.routing.gpsr import GpsrConfig
-from repro.routing.zap import ZapConfig
+from repro.routing.alarm import AlarmProtocol
+from repro.routing.ao2p import Ao2pProtocol
+from repro.routing.gpsr import GpsrProtocol
+from repro.routing.zap import ZapProtocol
 from tests.conftest import build_network
 
 
 class TestConfigValidation:
     def test_alert_config_rejects_bad_values(self):
-        nan, inf = float("nan"), float("inf")
+        nan = float("nan")
         for bad in (
             {"k": 0},
+            {"k": nan},
             {"h_override": 0},
             {"multicast_m": 0},
-            {"notify_t": -1.0},
-            {"notify_t0": 0.0},
-            # accepted before, then failed mid-run or broke routing
-            {"notify_t": nan},
-            {"notify_t": inf},
-            {"notify_t0": inf},
-            {"notify_t0": nan},
-            {"confirmation_timeout": -1.0},
-            {"confirmation_timeout": 0.0},
-            {"confirmation_timeout": nan},
-            {"confirmation_timeout": inf},
-            {"cover_size_bytes": -5},
-            {"cover_size_bytes": 0},
-            {"segment_ttl": 0},
-            {"max_rf_rounds": 0},
-            {"max_resends": -1},
         ):
             (name,) = bad
             with pytest.raises(ValueError, match=name):
                 AlertConfig(**bad)
 
     def test_default_configs_are_sane(self):
-        assert GpsrConfig().ttl == 10  # the paper's TTL
-        assert AlarmConfig().dissemination_interval == 30.0  # §5: 30 s
-        assert Ao2pConfig().proxy_extension_m > 0
-        assert ZapConfig().zone_side > 0
+        assert GpsrProtocol.ttl == 10  # the paper's TTL
+        assert AlarmProtocol.ttl == 10
+        assert AlarmProtocol.dissemination_interval == 30.0  # §5: 30 s
+        assert Ao2pProtocol.proxy_extension_m > 0
+        assert ZapProtocol.zone_side > 0
+        assert alert.SEGMENT_TTL == 10
         assert AlertConfig().k == 6
 
 
 class TestNakRecovery:
-    def test_nak_triggers_resend_of_missing_seq(self):
+    def test_nak_triggers_resend_of_missing_seq(self, monkeypatch):
         """Force-miss a sequence number and watch the NAK machinery
         recover it."""
+        monkeypatch.setattr(alert, "CONFIRMATION_TIMEOUT", 5.0)
         net = build_network(n_nodes=50, seed=43)
         metrics = MetricsCollector()
         location = LocationService(net, cost_model=CryptoCostModel())
         proto = AlertProtocol(
             net, location, metrics, CryptoCostModel(),
-            AlertConfig(h_override=4, enable_confirmation=True,
-                        confirmation_timeout=5.0),
+            AlertConfig(h_override=4, enable_confirmation=True),
         )
         net.start_hello()
         net.engine.run(until=0.5)
@@ -97,8 +85,11 @@ class TestNakRecovery:
 class TestHopBudget:
     def test_every_header_starts_with_segment_ttl(self, monkeypatch):
         """Originals, resends and RREPs enter routing with the
-        configured segment budget, not a built-in one, so a packet that
-        starts inside ``Z_D`` and loses its relay hop honours it too."""
+        ``SEGMENT_TTL`` budget read at use time, not a copy of its
+        default, so a packet that starts inside ``Z_D`` and loses its
+        relay hop honours it too."""
+        monkeypatch.setattr(alert, "SEGMENT_TTL", 4)
+        monkeypatch.setattr(alert, "CONFIRMATION_TIMEOUT", 0.3)
         entered = []
         continue_from = AlertProtocol._continue_from
 
@@ -111,8 +102,7 @@ class TestHopBudget:
         run_experiment(ExperimentConfig(
             n_nodes=40, field_size=600.0, duration=6.0, n_pairs=4,
             send_interval=0.5, seed=3,
-            alert_options={"segment_ttl": 4, "enable_confirmation": True,
-                           "confirmation_timeout": 0.3},
+            alert_options={"enable_confirmation": True},
         ))
         kinds = {(ptype, resent) for ptype, resent, _ in entered}
         assert kinds == {

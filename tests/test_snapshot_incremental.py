@@ -7,6 +7,7 @@ import numpy as np
 from repro.geometry.field import Field
 from repro.geometry.spatial_index import GridIndex
 from repro.mobility.random_waypoint import RandomWaypoint
+from repro.net import network
 from repro.net.network import Network
 from repro.sim.engine import Engine
 
@@ -14,7 +15,7 @@ from tests.conftest import build_network
 from tests.oracles import NaiveIndex, assert_same_answers, scalar_positions
 
 
-def _make_network(n_nodes=60, speed=2.0, snapshot_resolution=0.2, seed=9):
+def _make_network(n_nodes=60, speed=2.0, seed=9):
     engine = Engine(seed=seed)
     fld = Field(1000.0, 1000.0)
     return Network(
@@ -22,7 +23,6 @@ def _make_network(n_nodes=60, speed=2.0, snapshot_resolution=0.2, seed=9):
         fld,
         lambda i, rng: RandomWaypoint(fld, rng, speed_min=speed, speed_max=speed),
         n_nodes,
-        snapshot_resolution=snapshot_resolution,
     )
 
 
@@ -67,15 +67,16 @@ class TestIncrementalSnapshot:
         assert net.snapshot_incremental == 0
 
     def test_within_resolution_reuses_cache(self):
-        net = _make_network(snapshot_resolution=0.2)
+        net = _make_network()
         pos1, idx1 = net.snapshot()
         net.engine._now += 0.1
         pos2, idx2 = net.snapshot()
         assert idx2 is idx1 and pos2 is pos1
 
-    def test_incremental_path_result_identical_over_a_run(self):
+    def test_incremental_path_result_identical_over_a_run(self, monkeypatch):
         # Mixed refreshes over a long mobile run stay correct.
-        net = _make_network(n_nodes=40, speed=8.0, snapshot_resolution=0.5)
+        monkeypatch.setattr(network, "SNAPSHOT_RESOLUTION", 0.5)
+        net = _make_network(n_nodes=40, speed=8.0)
         for k in range(30):
             net.engine._now += 0.7 if k % 5 else 13.0
             _assert_snapshot_correct(net)
@@ -102,7 +103,7 @@ class TestIncrementalSnapshot:
     def test_state_change_does_not_invalidate_fresh_cache(self):
         # fail() marks the *next* refresh for rebuild but, exactly like
         # the pre-incremental behaviour, does not age out the cache.
-        net = _make_network(snapshot_resolution=0.2)
+        net = _make_network()
         pos1, idx1 = net.snapshot()
         net.nodes[0].fail()
         pos2, idx2 = net.snapshot()
@@ -126,11 +127,12 @@ class TestIncrementalSnapshot:
 
 
 class TestStalenessSemantics:
-    def test_zero_resolution_means_always_fresh(self):
-        # Satellite fix: with snapshot_resolution=0.0 a second query at
+    def test_zero_resolution_means_always_fresh(self, monkeypatch):
+        # Satellite fix: with SNAPSHOT_RESOLUTION = 0.0 a second query at
         # the same timestamp used to reuse a cache built *before* a
         # state change; `>=` staleness makes it rebuild every call.
-        net = _make_network(snapshot_resolution=0.0)
+        monkeypatch.setattr(network, "SNAPSHOT_RESOLUTION", 0.0)
+        net = _make_network()
         net.snapshot()
         net.snapshot()
         # Both calls refreshed (second one via the no-change diff path);
@@ -144,14 +146,15 @@ class TestStalenessSemantics:
         assert net.snapshot_rebuilds + net.snapshot_incremental == 3
 
     def test_exact_age_boundary_refreshes(self):
-        net = _make_network(snapshot_resolution=0.2)
+        net = _make_network()
         net.snapshot()
         net.engine._now += 0.2  # age == resolution: stale, not fresh
         net.snapshot()
         assert net.snapshot_rebuilds + net.snapshot_incremental == 2
 
-    def test_zero_resolution_sees_state_changes_immediately(self):
-        net = _make_network(snapshot_resolution=0.0)
+    def test_zero_resolution_sees_state_changes_immediately(self, monkeypatch):
+        monkeypatch.setattr(network, "SNAPSHOT_RESOLUTION", 0.0)
+        net = _make_network()
         net.snapshot()
         net.nodes[5].fail()
         assert 5 not in net.neighbors_of(net.node_nearest_to(net.position_of(5), exclude=5))

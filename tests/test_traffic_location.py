@@ -75,26 +75,29 @@ class TestLocationServer:
     def _record(self, nid=1):
         return LocationRecord(nid, Point(1, 2), PublicKey(123457, 65537), 0.0)
 
+    def _round(self, *nids):
+        return {nid: self._record(nid) for nid in nids}
+
     def test_store_fetch(self):
         s = LocationServer(0)
-        s.store(self._record())
+        s.adopt_round(self._round(1), 1)
         assert s.fetch(1) is not None
         assert s.fetch(2) is None
 
     def test_failed_server_ignores_io(self):
         s = LocationServer(0)
-        s.store(self._record())
+        s.adopt_round(self._round(1), 1)
         s.fail()
         assert s.fetch(1) is None
-        s.store(self._record(2))
+        s.adopt_round(self._round(2), 1)
         s.restore()
         assert s.fetch(1) is not None
         assert s.fetch(2) is None  # write during failure was dropped
+        assert s.writes == 1
 
     def test_counters_distinguish_replication(self):
         s = LocationServer(0)
-        s.store(self._record(1))
-        s.store(self._record(2), replicated=True)
+        s.adopt_round(self._round(1, 2), 1)
         assert s.writes == 1 and s.replications == 1
 
 

@@ -8,17 +8,19 @@ from repro.crypto.cost_model import CryptoCostModel
 from repro.experiments.metrics import MetricsCollector
 from repro.geometry.primitives import Point
 from repro.location.service import LocationService
-from repro.routing.zap import ZapConfig, ZapProtocol
+from repro.routing.zap import ZapProtocol
 from tests.conftest import build_network
 
 
-def run_zap(cfg=None, n_nodes=60, seed=11, n_packets=8):
+def run_zap(enlargement=0.0, n_nodes=60, seed=11, n_packets=8):
     net = build_network(n_nodes=n_nodes, seed=seed)
     metrics = MetricsCollector()
     cost = CryptoCostModel()
     location = LocationService(net, updates_enabled=True,
                                cost_model=CryptoCostModel())
-    proto = ZapProtocol(net, location, metrics, cost, cfg)
+    proto = ZapProtocol(
+        net, location, metrics, cost, enlargement_per_packet=enlargement
+    )
     observations = []
     proto.zone_delivery_observer = lambda t, r: observations.append(set(r))
     net.start_hello()
@@ -54,25 +56,23 @@ class TestZap:
         zone = proto._zone_for(Point(600, 600), seq=0)
         assert b.contains_rect(zone)
 
-    def test_enlargement_grows_zone(self):
-        cfg = ZapConfig(zone_side=200.0, enlargement_per_packet=0.25)
-        _, proto, _, _ = run_zap(cfg=cfg, n_packets=1)
+    def test_enlargement_grows_zone(self, monkeypatch):
+        monkeypatch.setattr(ZapProtocol, "zone_side", 200.0)
+        _, proto, _, _ = run_zap(enlargement=0.25, n_packets=1)
         z0 = proto._zone_for(Point(300, 300), seq=0)
         z4 = proto._zone_for(Point(300, 300), seq=4)
         assert z4.area > z0.area
 
-    def test_enlargement_capped(self):
-        cfg = ZapConfig(zone_side=200.0, enlargement_per_packet=1.0,
-                        max_zone_side=400.0)
-        _, proto, _, _ = run_zap(cfg=cfg, n_packets=1)
+    def test_enlargement_capped(self, monkeypatch):
+        monkeypatch.setattr(ZapProtocol, "zone_side", 200.0)
+        monkeypatch.setattr(ZapProtocol, "max_zone_side", 400.0)
+        _, proto, _, _ = run_zap(enlargement=1.0, n_packets=1)
         z = proto._zone_for(Point(300, 300), seq=50)
         assert max(z.width, z.height) <= 400.0 + 1e-9
 
     def test_enlargement_raises_flood_cost(self):
-        base = run_zap(cfg=ZapConfig(enlargement_per_packet=0.0),
-                       n_packets=10)[2]
-        grown = run_zap(cfg=ZapConfig(enlargement_per_packet=0.3),
-                        n_packets=10)[2]
+        base = run_zap(enlargement=0.0, n_packets=10)[2]
+        grown = run_zap(enlargement=0.3, n_packets=10)[2]
         base_pop = base.counters.get("zap_zone_population", 0)
         grown_pop = grown.counters.get("zap_zone_population", 0)
         assert grown_pop > base_pop
