@@ -9,7 +9,6 @@ consecutive routes share — the observable GPSR leaks and ALERT hides).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Iterable, Sequence
 
 
@@ -63,32 +62,3 @@ def mean_pairwise_overlap(routes: Sequence[Sequence[int]]) -> float:
         route_overlap(routes[i], routes[i + 1]) for i in range(len(routes) - 1)
     ]
     return sum(overlaps) / len(overlaps)
-
-
-def endpoint_exposure(routes: Sequence[Sequence[int]], endpoint: int) -> float:
-    """Fraction of routes in which ``endpoint`` appears at a path end.
-
-    An intruder that can see full routes identifies endpoints by their
-    terminal positions; protocols that bury endpoints among forwarders
-    (ALERT's Z_D broadcast) lower this.
-    """
-    if not routes:
-        return float("nan")
-    hits = 0
-    for r in routes:
-        if r and (r[0] == endpoint or r[-1] == endpoint):
-            hits += 1
-    return hits / len(routes)
-
-
-def observation_frequency(routes: Sequence[Sequence[int]]) -> Counter:
-    """How often each node appears across routes (traffic-analysis view).
-
-    A sharply peaked counter over few nodes marks a stable, traceable
-    path; a flat counter over many nodes marks ALERT-style dispersion.
-    """
-    c: Counter = Counter()
-    for r in routes:
-        for nid in set(r):
-            c[nid] += 1
-    return c

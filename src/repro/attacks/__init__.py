@@ -13,7 +13,7 @@ from repro.attacks.adversary import (
 )
 from repro.attacks.intersection_attack import IntersectionAttacker
 from repro.attacks.timing_attack import TimingAttacker
-from repro.attacks.traffic_analysis import InterceptionAttacker, RouteTracer
+from repro.attacks.traffic_analysis import InterceptionAttacker
 
 __all__ = [
     "PassiveObserver",
@@ -21,6 +21,5 @@ __all__ = [
     "union_observations_by_window",
     "IntersectionAttacker",
     "TimingAttacker",
-    "RouteTracer",
     "InterceptionAttacker",
 ]

@@ -87,18 +87,3 @@ class TimingAttacker:
         cv = std / mean if mean > 0 else float("inf")
         identified = n >= self.min_pairs and cv <= self.cv_threshold
         return TimingVerdict(n, mean, std, cv, identified)
-
-    def best_candidate(
-        self, departures: list[float], candidates: dict[int, list[float]]
-    ) -> tuple[int | None, TimingVerdict | None]:
-        """The candidate receiver with the most regular delay, if any."""
-        best_id: int | None = None
-        best: TimingVerdict | None = None
-        for cid in sorted(candidates):
-            verdict = self.correlate(departures, candidates[cid])
-            if verdict.matched_pairs < self.min_pairs:
-                continue
-            if best is None or verdict.cv < best.cv:
-                best = verdict
-                best_id = cid
-        return best_id, best

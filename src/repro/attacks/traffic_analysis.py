@@ -1,59 +1,16 @@
-"""Traffic analysis: route tracing and node-compromise interception (§3.1).
+"""Traffic analysis: node-compromise interception (§3.1).
 
-Two adversaries:
-
-* :class:`RouteTracer` — watches the routes packets take and measures
-  how predictable the *next* route is from history (the statistical
-  pattern §3.1 says ALERT denies).
-* :class:`InterceptionAttacker` — "the route anonymity due to random
-  relay node selection in ALERT prevents an intruder from intercepting
-  packets or compromising vulnerable nodes en route": the attacker
-  compromises the j historically busiest relays and we measure what
-  fraction of subsequent packets it still catches.
+:class:`InterceptionAttacker` — "the route anonymity due to random
+relay node selection in ALERT prevents an intruder from intercepting
+packets or compromising vulnerable nodes en route": the attacker
+compromises the j historically busiest relays and we measure what
+fraction of subsequent packets it still catches.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import Sequence
-
-from repro.analysis.anonymity import mean_pairwise_overlap, route_overlap
-
-
-class RouteTracer:
-    """Accumulates observed routes of one S-D flow."""
-
-    def __init__(self) -> None:
-        self.routes: list[list[int]] = []
-
-    def observe(self, route: Sequence[int]) -> None:
-        """Record one observed route (ordered node ids)."""
-        self.routes.append(list(route))
-
-    def consecutive_overlap(self) -> float:
-        """Mean Jaccard overlap of consecutive routes (1 = fixed path)."""
-        return mean_pairwise_overlap(self.routes)
-
-    def prediction_accuracy(self) -> float:
-        """How well the previous route predicts the next one.
-
-        For each consecutive pair, the fraction of the next route's
-        relays already seen in the previous route, averaged.  GPSR ≈ 1;
-        ALERT much lower.
-        """
-        if len(self.routes) < 2:
-            return float("nan")
-        scores = []
-        for prev, nxt in zip(self.routes, self.routes[1:]):
-            if not nxt:
-                continue
-            prev_set = set(prev)
-            scores.append(sum(1 for n in nxt if n in prev_set) / len(nxt))
-        return sum(scores) / len(scores) if scores else float("nan")
-
-    def route_diversity(self) -> int:
-        """Number of distinct nodes observed across all routes."""
-        return len({n for r in self.routes for n in r})
 
 
 class InterceptionAttacker:
@@ -95,20 +52,3 @@ class InterceptionAttacker:
             return float("nan")
         hit = sum(1 for r in future_routes if targets & set(r[1:-1]))
         return hit / len(future_routes)
-
-
-def dos_robustness(
-    routes_before: Sequence[Sequence[int]],
-    routes_after: Sequence[Sequence[int]],
-) -> float:
-    """Route change after an (attempted) interception: 1 - overlap.
-
-    High values mean the protocol re-randomised its paths, so the
-    compromised relays stop seeing the flow (§3.1's DoS argument).
-    """
-    if not routes_before or not routes_after:
-        return float("nan")
-    return 1.0 - route_overlap(
-        [n for r in routes_before for n in r],
-        [n for r in routes_after for n in r],
-    )

@@ -55,11 +55,6 @@ class Direction(Enum):
         """Wire encoding for the packet's direction bit."""
         return self.value
 
-    @classmethod
-    def from_bit(cls, bit: int) -> "Direction":
-        """Decode the packet's direction bit."""
-        return cls(bit & 1)
-
 
 def required_partitions(n_nodes: int, k: int) -> int:
     """``H = log2(rho*G/k)`` rounded to the nearest integer, min 1.
@@ -72,13 +67,6 @@ def required_partitions(n_nodes: int, k: int) -> int:
     if k >= n_nodes:
         return 1
     return max(int(round(math.log2(n_nodes / k))), 1)
-
-
-def expected_zone_population(n_nodes: int, h: int) -> float:
-    """Expected node count of an ``h``-times-partitioned zone."""
-    if h < 0:
-        raise ValueError(f"h must be >= 0, got {h}")
-    return n_nodes / (2.0**h)
 
 
 def side_lengths(h: int, l_first: float, l_second: float) -> tuple[float, float]:

@@ -177,12 +177,3 @@ class SymmetricKey:
     def generate(cls, rng: np.random.Generator, length: int = 16) -> "SymmetricKey":
         """Draw ``length`` random key bytes."""
         return cls(bytes(int(b) for b in rng.integers(0, 256, size=length)))
-
-    def as_int(self) -> int:
-        """Key material as a big-endian integer (for RSA wrapping)."""
-        return int.from_bytes(self.material, "big")
-
-    @classmethod
-    def from_int(cls, value: int, length: int) -> "SymmetricKey":
-        """Rebuild a key from its integer form."""
-        return cls(value.to_bytes(length, "big"))

@@ -70,7 +70,6 @@ class PseudonymManager:
         self.lifetime = lifetime
         self._rng = rng
         self._current: Pseudonym | None = None
-        self._history: list[Pseudonym] = []
         # Every digest this node ever issued, for O(1) ``was_ours`` —
         # the destination runs that check on every data delivery.
         self._digests: set[bytes] = set()
@@ -91,12 +90,7 @@ class PseudonymManager:
             digest=digest, issued_at=now, expires_at=now + self.lifetime
         )
         self._current = pseudonym
-        self._history.append(pseudonym)
         self._digests.add(digest)
-
-    def rotations(self) -> int:
-        """How many pseudonyms have been issued so far."""
-        return len(self._history)
 
     def was_ours(self, digest: bytes) -> bool:
         """Whether this node ever used ``digest`` (test/metric helper).

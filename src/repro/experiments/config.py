@@ -169,9 +169,3 @@ class ExperimentConfig:
     def with_(self, **overrides: Any) -> "ExperimentConfig":
         """A copy with the given fields replaced."""
         return replace(self, **overrides)
-
-    @property
-    def density_per_km2(self) -> float:
-        """Node density in nodes per square kilometre."""
-        area_km2 = (self.field_size / 1000.0) ** 2
-        return self.n_nodes / area_km2

@@ -47,16 +47,6 @@ def metric_mean_hops(r: RunResult) -> float:
     return r.mean_hops
 
 
-def metric_mean_rf_count(r: RunResult) -> float:
-    """Mean random forwarders per delivered packet (metric 2)."""
-    return r.mean_rf_count
-
-
-def metric_participating_nodes(r: RunResult) -> float:
-    """Distinct nodes that forwarded any packet (metric 1)."""
-    return float(r.participating_nodes)
-
-
 def sweep_metric(
     base: ExperimentConfig,
     x_field: str,

@@ -43,10 +43,6 @@ class Field:
         """Field area *G* in square metres (paper §2.4)."""
         return self.width * self.height
 
-    def density(self, n_nodes: int) -> float:
-        """Node density ρ in nodes per square metre."""
-        return n_nodes / self.area
-
     def contains(self, p: Point) -> bool:
         """Whether ``p`` lies inside the (closed) field."""
         return 0.0 <= p.x <= self.width and 0.0 <= p.y <= self.height
@@ -61,9 +57,3 @@ class Field:
             float(rng.uniform(0.0, self.width)),
             float(rng.uniform(0.0, self.height)),
         )
-
-    def random_points(self, n: int, rng: np.random.Generator) -> list[Point]:
-        """``n`` i.i.d. uniform positions (vectorised draw)."""
-        xs = rng.uniform(0.0, self.width, size=n)
-        ys = rng.uniform(0.0, self.height, size=n)
-        return [Point(float(x), float(y)) for x, y in zip(xs, ys)]

@@ -44,10 +44,6 @@ class Point(NamedTuple):
         """Midpoint of the segment to ``other``."""
         return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
 
-    def translate(self, dx: float, dy: float) -> "Point":
-        """Return a new point displaced by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
     def toward(self, other: "Point", distance: float) -> "Point":
         """Point at ``distance`` from self along the ray to ``other``.
 
@@ -58,10 +54,6 @@ class Point(NamedTuple):
             return self
         t = distance / d
         return Point(self.x + (other.x - self.x) * t, self.y + (other.y - self.y) * t)
-
-    def as_array(self) -> np.ndarray:
-        """This point as a shape-(2,) float64 array."""
-        return np.array([self.x, self.y], dtype=np.float64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,15 +110,6 @@ class Rect:
     def contains_closed(self, p: Point) -> bool:
         """Closed-rectangle containment (both far edges inclusive)."""
         return self.x0 <= p.x <= self.x1 and self.y0 <= p.y <= self.y1
-
-    def intersects(self, other: "Rect") -> bool:
-        """Whether the two half-open rectangles overlap."""
-        return (
-            self.x0 < other.x1
-            and other.x0 < self.x1
-            and self.y0 < other.y1
-            and other.y0 < self.y1
-        )
 
     def contains_rect(self, other: "Rect") -> bool:
         """Whether ``other`` lies entirely inside this rectangle."""

@@ -54,11 +54,6 @@ class EnergyModel:
         )
         return seconds * self.cpu_power_w
 
-    def total_energy(self, network: Network, cost: CryptoCostModel) -> float:
-        """Total joules: radio tx + rx + crypto CPU."""
-        tx, rx = self.radio_energy(network)
-        return tx + rx + self.crypto_energy(cost)
-
     def breakdown(self, network: Network, cost: CryptoCostModel) -> dict[str, float]:
         """Named components, joules."""
         tx, rx = self.radio_energy(network)

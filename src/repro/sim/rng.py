@@ -52,11 +52,6 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def reset(self, name: str) -> np.random.Generator:
-        """Re-seed the named stream back to its initial state."""
-        self._streams.pop(name, None)
-        return self.stream(name)
-
     def names(self) -> list[str]:
         """Names of all streams created so far, in creation order."""
         return list(self._streams)

@@ -9,10 +9,8 @@ from hypothesis import given, strategies as st
 
 from repro.analysis.anonymity import (
     anonymity_entropy,
-    endpoint_exposure,
     k_anonymity_set,
     mean_pairwise_overlap,
-    observation_frequency,
     route_overlap,
 )
 
@@ -71,22 +69,3 @@ class TestRouteOverlap:
         o = route_overlap(a, b)
         assert 0.0 <= o <= 1.0
         assert o == route_overlap(b, a)
-
-
-class TestEndpointExposure:
-    def test_exposed_source(self):
-        routes = [[1, 5, 9], [1, 4, 8]]
-        assert endpoint_exposure(routes, 1) == 1.0
-
-    def test_buried_endpoint(self):
-        routes = [[5, 1, 9], [4, 1, 8]]
-        assert endpoint_exposure(routes, 1) == 0.0
-
-    def test_empty_nan(self):
-        assert math.isnan(endpoint_exposure([], 1))
-
-
-class TestObservationFrequency:
-    def test_counts_per_route_once(self):
-        c = observation_frequency([[1, 2, 2], [2, 3]])
-        assert c[1] == 1 and c[2] == 2 and c[3] == 1

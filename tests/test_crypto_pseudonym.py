@@ -43,7 +43,6 @@ class TestPseudonymManager:
         a = m.current(0.0)
         b = m.current(30.1)
         assert a.digest != b.digest
-        assert m.rotations() == 2
 
     def test_validity_window(self):
         m = make_manager(lifetime=10.0)

@@ -54,7 +54,6 @@ class TestEnergyModel:
         assert bd["total_j"] == pytest.approx(
             bd["radio_tx_j"] + bd["radio_rx_j"] + bd["crypto_j"]
         )
-        assert bd["total_j"] == pytest.approx(model.total_energy(net, cost))
 
     def test_hello_airtime_counted(self, static_network):
         net = static_network

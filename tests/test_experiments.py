@@ -95,12 +95,6 @@ class TestConfig:
         assert cfg.n_nodes == 100 and cfg.speed == 4.0
         assert cfg.protocol == "ALERT"
 
-    def test_density(self):
-        assert ExperimentConfig(n_nodes=200).density_per_km2 == pytest.approx(200.0)
-        assert ExperimentConfig(
-            n_nodes=50, field_size=500.0
-        ).density_per_km2 == pytest.approx(200.0)
-
 
 class TestMobilityFactory:
     def test_static_for_zero_speed(self):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.zones import (
     Direction,
     destination_zone,
-    expected_zone_population,
     required_partitions,
     separate_from_zone,
     side_lengths,
@@ -30,7 +29,7 @@ class TestDirection:
 
     def test_bit_roundtrip(self):
         for d in Direction:
-            assert Direction.from_bit(d.bit) is d
+            assert Direction(d.bit) is d
 
 
 class TestRequiredPartitions:
@@ -51,11 +50,6 @@ class TestRequiredPartitions:
             required_partitions(0, 5)
         with pytest.raises(ValueError):
             required_partitions(5, 0)
-
-    def test_expected_population(self):
-        assert expected_zone_population(200, 5) == pytest.approx(6.25)
-        with pytest.raises(ValueError):
-            expected_zone_population(10, -1)
 
 
 class TestSideLengths:
