@@ -142,8 +142,8 @@ class AlertProtocol(RoutingProtocol):
         self._dest_keys: dict[int, SymmetricKey] = {}
         #: destination-side highest seq seen per session (NAK detection)
         self._dest_seq: dict[int, int] = {}
-        #: destination-side (session, seq) pairs already processed
-        self._dest_received: set[tuple[int, int]] = set()
+        #: recipient-side (session, seq, ptype value) already processed
+        self._dest_received: set[tuple] = set()
         #: intersection-defense holder state per session
         self._holders: dict[int, HolderState] = {}
         #: processed (session, seq, node, ptype, stage) dedup set
@@ -602,6 +602,15 @@ class AlertProtocol(RoutingProtocol):
 
     def _deliver_at_recipient(self, node: Node, packet: Packet) -> None:
         hdr: AlertHeader = packet.header
+        # The recipient hears most packets several times (zone
+        # broadcast, rebroadcast, overhearing); process each
+        # (session, seq, type) once and discard duplicates, so one
+        # NAK makes one resend and one RREP one confirmation.  The
+        # type enters as its value, as in ``_on_packet``'s key.
+        dedup = (hdr.session, hdr.seq, hdr.ptype._value_)
+        if dedup in self._dest_received:
+            return
+        self._dest_received.add(dedup)
         if hdr.ptype is AlertPacketType.RREQ:
             self._deliver_data(node, packet)
         elif hdr.ptype is AlertPacketType.RREP:
@@ -611,13 +620,6 @@ class AlertProtocol(RoutingProtocol):
 
     def _deliver_data(self, node: Node, packet: Packet) -> None:
         hdr: AlertHeader = packet.header
-        # The destination hears most packets several times (zone
-        # broadcast, rebroadcast, overhearing); decrypt and process
-        # each (session, seq) once and discard duplicates.
-        dedup = (hdr.session, hdr.seq)
-        if dedup in self._dest_received:
-            return
-        self._dest_received.add(dedup)
         key = self._dest_keys.get(hdr.session)
         if key is None and hdr.wrapped_key:
             material = PublicKeyCipher.for_owner(node.keypair).decrypt(

@@ -53,9 +53,9 @@ class TestConfigValidation:
 
 
 class TestNakRecovery:
-    def test_nak_triggers_resend_of_missing_seq(self, monkeypatch):
-        """Force-miss a sequence number and watch the NAK machinery
-        recover it."""
+    @staticmethod
+    def _run_with_lost_seq(monkeypatch) -> MetricsCollector:
+        """Force-miss a sequence number; D sees the gap and NAKs it."""
         monkeypatch.setattr(alert, "CONFIRMATION_TIMEOUT", 5.0)
         net = build_network(n_nodes=50, seed=43)
         metrics = MetricsCollector()
@@ -77,9 +77,27 @@ class TestNakRecovery:
         sess.retained[lost_seq] = sess.retained.get(0, b"")
         proto.send_data(0, 49)
         net.engine.run(until=net.engine.now + 4.0)
+        location.stop()
+        return metrics
+
+    def test_nak_triggers_resend_of_missing_seq(self, monkeypatch):
+        """Force-miss a sequence number and watch the NAK machinery
+        recover it."""
+        metrics = self._run_with_lost_seq(monkeypatch)
         # D saw the gap and NAKed; the source resent the missing seq.
         assert metrics.counters.get("nak_sent", 0) >= 1
-        location.stop()
+        assert metrics.counters.get("resends", 0) >= 1
+
+    def test_source_handles_each_control_packet_once(self, monkeypatch):
+        """The source hears a NAK or RREP once per zone broadcast,
+        rebroadcast and overheard copy, but acts on it once: one NAK,
+        one resend, no resend given up."""
+        counters = self._run_with_lost_seq(monkeypatch).counters
+        assert counters.get("nak_sent", 0) == 1
+        assert counters.get("nak_received", 0) == 1
+        assert counters.get("resends", 0) == 1
+        assert counters.get("resend_given_up", 0) == 0
+        assert 1 <= counters.get("rrep_received", 0) <= counters["rrep_sent"]
 
 
 class TestHopBudget:
