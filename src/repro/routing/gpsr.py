@@ -249,8 +249,8 @@ class GpsrProtocol(RoutingProtocol):
     in :meth:`_dispatch` (AO2P also its hand-off rule and contention in
     :meth:`_direct_hand_off` and :meth:`_unicast`), and shares
     :meth:`_route`, :meth:`_transmit` and :meth:`_on_link_failure`,
-    which retries under :meth:`RoutingProtocol._retry_hop`.  Each
-    sets its own hop budget ``ttl``.
+    which retries under :meth:`RoutingProtocol._retry_hop`.  AO2P and
+    ZAP override the hop budget ``ttl``; ALARM keeps GPSR's.
     """
 
     name = "GPSR"
