@@ -65,29 +65,23 @@ def regen_dos():
 
         # Phase 2: rerun the same seed with those relays dead from the
         # start — the strongest version of the compromise.
-        from repro.experiments.runner import run_experiment as _run
-
         def _with_failures(cfg=cfg, targets=tuple(targets)):
-            import repro.experiments.runner as runner_mod
-            result = None
             # Build the run manually so we can kill nodes post-warmup.
             from repro.experiments.runner import (
-                make_mobility_factory, make_protocol, choose_pairs,
+                DRAIN_TIME, make_mobility_factory, make_protocol, choose_pairs,
             )
             from repro.crypto.cost_model import CryptoCostModel
             from repro.experiments.metrics import MetricsCollector
             from repro.geometry.field import Field
             from repro.location.service import LocationService
             from repro.net.network import Network
-            from repro.net.radio import RadioModel
             from repro.net.traffic import CbrSource
             from repro.sim.engine import Engine
 
             engine = Engine(seed=cfg.seed)
             fld = Field(cfg.field_size, cfg.field_size)
             net = Network(
-                engine, fld, make_mobility_factory(cfg, engine, fld),
-                cfg.n_nodes, radio=RadioModel(range_m=cfg.radio_range),
+                engine, fld, make_mobility_factory(cfg, engine, fld), cfg.n_nodes
             )
             metrics = MetricsCollector()
             cost = CryptoCostModel()
@@ -107,7 +101,7 @@ def regen_dos():
             engine.run(until=cfg.duration)
             for s in sources:
                 s.stop()
-            engine.run(until=cfg.duration + cfg.drain_time)
+            engine.run(until=cfg.duration + DRAIN_TIME)
             return metrics.delivery_rate()
 
         after = _with_failures()

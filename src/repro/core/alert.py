@@ -229,7 +229,7 @@ class AlertProtocol(RoutingProtocol):
 
         source = self.network.nodes[packet.src]
         if self.config.enable_confirmation:
-            self._arm_confirmation(sess, seq, data_size)
+            self._arm_confirmation(sess, seq)
 
         def start() -> None:
             self._continue_from(source, packet)
@@ -663,15 +663,12 @@ class AlertProtocol(RoutingProtocol):
     # ------------------------------------------------------------------
     # reliability: confirmation / NAK / resend
     # ------------------------------------------------------------------
-    def _arm_confirmation(self, sess: SessionState, seq: int, data_size: int) -> None:
-        timer = Timer(
-            self.engine,
-            lambda: self._resend(sess, seq, data_size),
-        )
+    def _arm_confirmation(self, sess: SessionState, seq: int) -> None:
+        timer = Timer(self.engine, lambda: self._resend(sess, seq))
         timer.start(CONFIRMATION_TIMEOUT)
         sess.confirm_timers[seq] = timer
 
-    def _resend(self, sess: SessionState, seq: int, data_size: int) -> None:
+    def _resend(self, sess: SessionState, seq: int) -> None:
         # The confirmation window closed (or a NAK arrived) without an
         # RREP for this seq — the closed-loop timeout signal.  Reported
         # before the resend-budget check so a given-up packet still
@@ -698,7 +695,7 @@ class AlertProtocol(RoutingProtocol):
         header = self._rreq_header(sess, seq)
         packet.header = header
         packet.size_bytes = header_wire_size(header, len(ciphertext))
-        self._arm_confirmation(sess, seq, packet.size_bytes)
+        self._arm_confirmation(sess, seq)
         self._continue_from(self.network.nodes[sess.src], packet)
 
     def _send_control(
@@ -749,4 +746,4 @@ class AlertProtocol(RoutingProtocol):
     def _on_nak(self, hdr: AlertHeader) -> None:
         """Source received a NAK: resend the missing sequence number."""
         self.metrics.note("nak_received")
-        self._resend(self._session_by_id(hdr.session), hdr.seq, 0)
+        self._resend(self._session_by_id(hdr.session), hdr.seq)

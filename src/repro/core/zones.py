@@ -50,11 +50,6 @@ class Direction(Enum):
         """The other direction."""
         return Direction.VERTICAL if self is Direction.HORIZONTAL else Direction.HORIZONTAL
 
-    @property
-    def bit(self) -> int:
-        """Wire encoding for the packet's direction bit."""
-        return self.value
-
 
 def required_partitions(n_nodes: int, k: int) -> int:
     """``H = log2(rho*G/k)`` rounded to the nearest integer, min 1.

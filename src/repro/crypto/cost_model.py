@@ -17,21 +17,26 @@ from dataclasses import dataclass, field
 
 @dataclass
 class CryptoCostModel:
-    """Per-operation simulated costs, in seconds.
+    """Per-operation simulated costs, in seconds, and a tally of charges.
 
-    Defaults follow §5.2: symmetric ≈ 3 ms, public-key ≈ 250 ms
-    (mid-point of "2-3 hundred milliseconds"), signatures and
-    verifications priced like a public-key operation, hashes priced as
-    negligible-but-nonzero.
+    The costs are class attributes, read through ``self`` at each
+    charge, so a test can set one on an instance.
     """
 
-    symmetric_encrypt_s: float = 0.003
-    symmetric_decrypt_s: float = 0.003
-    pubkey_encrypt_s: float = 0.25
-    pubkey_decrypt_s: float = 0.25
-    sign_s: float = 0.25
-    verify_s: float = 0.25
-    hash_s: float = 0.00001
+    #: "A typical symmetric encryption costs several milliseconds"
+    #: (§5.2): 3 ms each way.
+    symmetric_encrypt_s = 0.003
+    symmetric_decrypt_s = 0.003
+    #: "A public key encryption operation costs 2-3 hundred
+    #: milliseconds" (§5.2): the mid-point, 250 ms each way.
+    pubkey_encrypt_s = 0.25
+    pubkey_decrypt_s = 0.25
+    #: Signatures and verifications are public-key operations, priced
+    #: alike (the paper gives them no figure of their own).
+    sign_s = 0.25
+    verify_s = 0.25
+    #: Hashes are negligible next to §5.2's figures but not free.
+    hash_s = 0.00001
     #: running tally of charged operations, by name
     charges: dict[str, int] = field(default_factory=dict)
 

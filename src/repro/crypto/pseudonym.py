@@ -4,8 +4,9 @@ Each node identifies itself by ``SHA-1(MAC address || timestamp)``
 rather than its MAC address.  The timestamp's sub-second digits are
 randomised ("we keep the precision of time stamp to a certain extent,
 say 1 second, and randomize the digits within 1/10th") so an attacker
-cannot recompute the pseudonym, and pseudonyms expire after a
-configurable period so they cannot be associated with nodes over time.
+cannot recompute the pseudonym, and pseudonyms expire after
+:attr:`PseudonymManager.lifetime` so they cannot be associated with
+nodes over time.
 """
 
 from __future__ import annotations
@@ -50,24 +51,17 @@ class PseudonymManager:
     rng:
         Random stream used to randomise the timestamp's sub-second
         digits.
-    lifetime:
-        Seconds a pseudonym stays valid before rotation.  "If
-        pseudonyms are changed too frequently, the routing may get
-        perturbed; ... too infrequently, the adversaries may associate
-        pseudonyms with nodes" (§2.2) — the default of 30 s sits in
-        between and is swept by an ablation bench.
     """
 
-    def __init__(
-        self,
-        mac_address: bytes,
-        rng: np.random.Generator,
-        lifetime: float = 30.0,
-    ) -> None:
-        if lifetime <= 0:
-            raise ValueError(f"lifetime must be positive, got {lifetime!r}")
+    #: Seconds a pseudonym stays valid before rotation, read through
+    #: ``self`` at each rotation.  "If pseudonyms are changed too
+    #: frequently, the routing may get perturbed; ... too infrequently,
+    #: the adversaries may associate pseudonyms with nodes" (§2.2); the
+    #: paper fixes no value, and 30 s sits in between.
+    lifetime = 30.0
+
+    def __init__(self, mac_address: bytes, rng: np.random.Generator) -> None:
         self.mac_address = mac_address
-        self.lifetime = lifetime
         self._rng = rng
         self._current: Pseudonym | None = None
         # Every digest this node ever issued, for O(1) ``was_ours`` —

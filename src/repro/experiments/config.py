@@ -60,7 +60,6 @@ class TrafficConfig:
 #: of which must be strictly positive.
 _POSITIVE_FIELDS = (
     "duration", "field_size", "group_range", "send_interval", "packet_size",
-    "radio_range", "location_update_interval", "hello_interval",
 )
 
 
@@ -73,8 +72,13 @@ class ExperimentConfig:
     """One simulation's parameters.
 
     Defaults are the paper's: 1000 m × 1000 m field, 200 nodes moving
-    at 2 m/s under random waypoint, 250 m range, 10 random S-D pairs
-    sending 512-byte packets every 2 s for 100 s.
+    at 2 m/s under random waypoint, 10 random S-D pairs sending
+    512-byte packets every 2 s for 100 s.  What the paper does not vary
+    is a constant of the stack: the 250 m range
+    (``repro.net.radio.RadioModel.range_m``), the beacon period
+    (``repro.net.network.HELLO_INTERVAL``), the location-update period
+    (``LocationService``'s 2 s default) and the drain after traffic
+    stops (``repro.experiments.runner.DRAIN_TIME``).
 
     Parameters
     ----------
@@ -94,9 +98,6 @@ class ExperimentConfig:
     alert_options:
         Extra keyword overrides applied to :class:`AlertConfig`
         (e.g. ``{"notify_and_go": True}``).
-    drain_time:
-        Extra simulated seconds after traffic stops, letting in-flight
-        packets land before metrics are read.
     """
 
     protocol: str = "ALERT"
@@ -110,9 +111,7 @@ class ExperimentConfig:
     n_pairs: int = 10
     send_interval: float = 2.0
     packet_size: int = 512
-    radio_range: float = 250.0
     destination_update: bool = True
-    location_update_interval: float = 2.0
     k: int = 6
     #: The paper's §4/§5 default is a *fixed* H = 5 ("We set H = 5 to
     #: ensure that a reasonable number of nodes are in a destination
@@ -121,8 +120,6 @@ class ExperimentConfig:
     h_override: int | None = 5
     alert_options: dict[str, Any] = field(default_factory=dict)
     seed: int = 1
-    drain_time: float = 3.0
-    hello_interval: float = 1.0
     #: traffic-source block; a plain dict is coerced to
     #: :class:`TrafficConfig` for sweep/CLI convenience.
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
@@ -147,9 +144,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        if not self.drain_time >= 0:
-            raise ValueError(f"drain_time must be >= 0, got {self.drain_time!r}")
-        for name in (*_POSITIVE_FIELDS, "speed", "drain_time"):
+        for name in (*_POSITIVE_FIELDS, "speed"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")

@@ -29,9 +29,8 @@ Robustness semantics:
 Workers are selected via the ``REPRO_WORKERS`` environment variable
 (default ``os.cpu_count()``, and clamped to it: more workers than
 cores is pure contention); ``REPRO_WORKERS=1`` forces the serial
-fallback.  Small env-resolved sweeps also run serially — below
-``_SPAWN_BREAKEVEN`` seeds a cold pool's spawn cost exceeds any
-parallel win (an explicit ``workers=`` argument is always honored).
+fallback.  Even a 4-seed sweep on a cold pool finishes sooner than
+serially on two cores, so sweep size never forces the serial path.
 Work items whose config or metric cannot be pickled (e.g. a lambda
 metric) run serially — parallelism is an optimisation, never a
 behavioural requirement.
@@ -58,11 +57,6 @@ from repro.experiments.runner import (
 )
 
 log = logging.getLogger(__name__)
-
-#: Below this many seeds, an env-resolved sweep on a cold pool runs
-#: serially: spawning workers costs more wall clock than the sweep
-#: itself (the measured break-even sits around 8 small runs).
-_SPAWN_BREAKEVEN = 8
 
 #: Metric extractors usually return a float, but any picklable value
 #: (e.g. a per-packet series) crosses the process boundary fine.
@@ -275,22 +269,6 @@ class SweepExecutor:
 
         values: list[Any] = [_PENDING] * len(payloads)
         width = min(self.workers, len(payloads)) if payloads else 1
-        if (
-            width > 1
-            and self._workers_arg is None
-            and self._pool is None
-            and len(payloads) < _SPAWN_BREAKEVEN
-        ):
-            # Too little work to amortise a cold pool spawn.  Only the
-            # env-resolved default degrades: an explicit ``workers=``
-            # argument is a deliberate choice (and what the tests use
-            # to force the pool on any host), and a warm pool has
-            # already paid its spawn cost.
-            self._warn_serial(
-                f"{len(payloads)} seed(s) is below the ~{_SPAWN_BREAKEVEN}"
-                "-seed break-even for spawning a worker pool"
-            )
-            width = 1
         if width <= 1:
             self._run_serial(payloads, coords, values, on_result)
         elif not all(_picklable(p) for p in _representative_payloads(payloads)):

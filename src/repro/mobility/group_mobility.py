@@ -58,9 +58,13 @@ class GroupMobility(MobilityModel):
         point ("movement range" in the paper), metres.
     rng:
         Private random stream for the member's local motion.
-    local_speed:
-        Speed of the member's motion relative to the reference point.
     """
+
+    #: Speed of a member's motion relative to its reference point, m/s,
+    #: read through ``self`` when the member is built.  The paper gives
+    #: RPGM only group counts and ranges (§5.1); 1 m/s keeps members
+    #: slower than their group's 2 m/s default.
+    local_speed = 1.0
 
     def __init__(
         self,
@@ -68,7 +72,6 @@ class GroupMobility(MobilityModel):
         reference: GroupReference,
         group_range: float,
         rng: np.random.Generator,
-        local_speed: float = 1.0,
     ) -> None:
         if group_range <= 0:
             raise ValueError(f"group_range must be positive, got {group_range!r}")
@@ -76,8 +79,9 @@ class GroupMobility(MobilityModel):
         self.reference = reference
         self.group_range = group_range
         local_field = Field(2 * group_range, 2 * group_range)
+        speed = self.local_speed
         self._local = RandomWaypoint(
-            local_field, rng, speed_min=local_speed, speed_max=local_speed
+            local_field, rng, speed_min=speed, speed_max=speed
         )
 
     def position(self, t: float) -> Point:
@@ -128,7 +132,6 @@ def make_group_mobility(
     rng: np.random.Generator,
     speed_min: float = 2.0,
     speed_max: float = 2.0,
-    local_speed: float = 1.0,
 ) -> list[GroupMobility]:
     """Build RPGM motions for ``n_nodes`` split evenly into ``n_groups``.
 
@@ -142,6 +145,6 @@ def make_group_mobility(
         GroupReference(field, rng, speed_min, speed_max) for _ in range(n_groups)
     ]
     return [
-        GroupMobility(field, references[i % n_groups], group_range, rng, local_speed)
+        GroupMobility(field, references[i % n_groups], group_range, rng)
         for i in range(n_nodes)
     ]

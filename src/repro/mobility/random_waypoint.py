@@ -1,9 +1,10 @@
 """The random way point mobility model (Camp et al., ref. [17]).
 
-A node repeatedly: picks a uniform destination in the field, travels to
-it in a straight line at a speed drawn from ``[speed_min, speed_max]``,
-then pauses for ``pause_time`` seconds.  The paper's evaluation uses a
-fixed speed (2-8 m/s) with no pause, which corresponds to
+A node starts at a uniform point in the field, then repeatedly: picks a
+uniform destination in the field, travels to it in a straight line at a
+speed drawn from ``[speed_min, speed_max]``, then pauses for
+:attr:`RandomWaypoint.pause_time` seconds.  The paper's evaluation uses
+a fixed speed (2-8 m/s) with no pause, which corresponds to
 ``speed_min == speed_max`` and ``pause_time == 0``.
 """
 
@@ -22,39 +23,33 @@ class RandomWaypoint(MobilityModel):
     Parameters
     ----------
     field:
-        Deployment area the waypoints are drawn from.
-    origin:
-        Starting position (``None`` draws one uniformly).
+        Deployment area the origin and waypoints are drawn from.
     speed_min, speed_max:
         Speed range in m/s; each leg draws Uniform(min, max).
-    pause_time:
-        Pause at each waypoint, seconds.
     rng:
         Private random stream (one per node for independence).
     """
+
+    #: Pause at each waypoint, seconds, read through ``self`` as each
+    #: leg is drawn.  The paper's runs move without pausing (§5.1).
+    pause_time = 0.0
 
     def __init__(
         self,
         field: Field,
         rng: np.random.Generator,
-        origin: Point | None = None,
         speed_min: float = 2.0,
         speed_max: float = 2.0,
-        pause_time: float = 0.0,
     ) -> None:
         if speed_min <= 0 or speed_max < speed_min:
             raise ValueError(
                 f"need 0 < speed_min <= speed_max, got ({speed_min}, {speed_max})"
             )
-        if pause_time < 0:
-            raise ValueError(f"pause_time must be >= 0, got {pause_time!r}")
         self.field = field
         self.speed_min = speed_min
         self.speed_max = speed_max
-        self.pause_time = pause_time
         self._rng = rng
-        if origin is None:
-            origin = field.random_point(rng)
+        origin = field.random_point(rng)
         self._traj = Trajectory(origin)
         self._cursor = origin
 

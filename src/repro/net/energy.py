@@ -10,29 +10,24 @@ INFOCOM 2001 ballpark figures).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.crypto.cost_model import CryptoCostModel
 from repro.net.network import Network
 
 
-@dataclass(frozen=True)
 class EnergyModel:
-    """Power-draw constants, watts.
+    """Power-draw constants, watts, read through ``self`` when used.
 
-    Parameters
-    ----------
-    tx_power_w / rx_power_w:
-        Radio draw while transmitting / receiving.
-    cpu_power_w:
-        Extra CPU draw while running cryptographic code; multiplied by
-        the *simulated* time each operation costs (the same §5.2
-        calibration the latency figures use).
+    The paper claims lower energy use but gives no power figures, so
+    the draws are Feeney & Nilsson's.
     """
 
-    tx_power_w: float = 1.4
-    rx_power_w: float = 0.9
-    cpu_power_w: float = 0.8
+    #: Radio draw while transmitting / receiving.
+    tx_power_w = 1.4
+    rx_power_w = 0.9
+    #: Extra CPU draw while running cryptographic code; multiplied by
+    #: the *simulated* time each operation costs (the same §5.2
+    #: calibration the latency figures use).
+    cpu_power_w = 0.8
 
     def radio_energy(self, network: Network) -> tuple[float, float]:
         """(tx joules, rx joules) from the network's airtime counters."""

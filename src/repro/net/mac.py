@@ -69,50 +69,40 @@ class Mac80211Dcf:
         Shared physical-layer parameters.
     rng:
         Random stream for backoff draws and loss coin-flips.
-    slot_s, difs_s, sifs_s:
-        DCF timing constants (802.11 classic values by default).
-    cw_min, cw_max:
-        Contention-window bounds in slots.
-    max_retries:
-        Unicast retry limit before the frame is dropped.
-    ack_bytes:
-        ACK frame payload-equivalent size.
-    base_loss:
-        Residual per-attempt channel error probability (fading etc.).
-    collision_scale:
-        Sensitivity of collision probability to concurrent in-flight
-        transmissions: ``p = 1 - exp(-load / collision_scale)``.
+
+    The DCF constants are class attributes, read through ``self`` when
+    used (``ack_bytes`` once, at construction), so a test can set one
+    on an instance or monkeypatch the class.
     """
 
-    def __init__(
-        self,
-        radio: RadioModel,
-        rng: np.random.Generator,
-        slot_s: float = 20e-6,
-        difs_s: float = 50e-6,
-        sifs_s: float = 10e-6,
-        cw_min: int = 31,
-        cw_max: int = 1023,
-        max_retries: int = 7,
-        ack_bytes: int = 14,
-        base_loss: float = 0.005,
-        collision_scale: float = 4.0,
-    ) -> None:
+    #: Slot time, DIFS and SIFS of the 802.11 DSSS PHY (IEEE 802.11,
+    #: §15: 20 µs slot, 10 µs SIFS, DIFS = SIFS + 2 slots).
+    slot_s = 20e-6
+    difs_s = 50e-6
+    sifs_s = 10e-6
+    #: Contention-window bounds in slots (802.11 DSSS: aCWmin 31,
+    #: aCWmax 1023).
+    cw_min = 31
+    cw_max = 1023
+    #: Unicast retry limit before the frame is dropped (802.11
+    #: dot11ShortRetryLimit: 7).
+    max_retries = 7
+    #: ACK frame size in bytes (802.11 ACK: 14 B).
+    ack_bytes = 14
+    #: Residual per-attempt channel error probability (fading etc.);
+    #: the paper's unit-disk model (§5) has none, so it is kept small.
+    base_loss = 0.005
+    #: Sensitivity of collision probability to concurrent in-flight
+    #: transmissions: ``p = 1 - exp(-load / collision_scale)``.
+    collision_scale = 4.0
+
+    def __init__(self, radio: RadioModel, rng: np.random.Generator) -> None:
         self.radio = radio
         self._rng = rng
-        self.slot_s = slot_s
-        self.difs_s = difs_s
-        self.sifs_s = sifs_s
-        self.cw_min = cw_min
-        self.cw_max = cw_max
-        self.max_retries = max_retries
-        self.ack_bytes = ack_bytes
-        self.base_loss = base_loss
-        self.collision_scale = collision_scale
         #: ACK airtime is a run constant — hoisted out of ``unicast``,
         #: which used to recompute ``radio.tx_time(ack_bytes)`` on
         #: every call.
-        self._ack_airtime = radio.tx_time(ack_bytes)
+        self._ack_airtime = radio.tx_time(self.ack_bytes)
         #: ``_attempt_failure_prob`` memo keyed by load value.  Loads
         #: are small in-flight *counts* (a handful of distinct floats
         #: per run), so the dict stays tiny while sparing a transcendental

@@ -50,19 +50,16 @@ class NeighborTable:
     ``len()`` counts stored rows, not live ones; it only picks between
     the parity-tested lanes of ``next_hop_greedy_batched``
     (``gpsr._BATCH_MIN``).
-
-    Parameters
-    ----------
-    ttl:
-        Entries older than ``ttl`` seconds are treated as gone (the
-        neighbor moved away or died); typically 2-3 hello intervals.
-        ``inf`` means rows never expire.
     """
 
-    def __init__(self, ttl: float = 3.0) -> None:
-        if not ttl > 0:
-            raise ValueError(f"ttl must be positive, got {ttl!r}")
-        self.ttl = ttl
+    #: Entries older than ``ttl`` seconds are treated as gone (the
+    #: neighbor moved away or died): three hello intervals
+    #: (``repro.net.network.HELLO_INTERVAL``), so one or two lost
+    #: beacons do not evict a live neighbor.  Read through ``self``, so
+    #: a test may set it on one table; ``inf`` means rows never expire.
+    ttl = 3.0
+
+    def __init__(self) -> None:
         self._entries: dict[int, NeighborEntry] = {}
         # Address-sorted row cache, invalidated on any write.  Routing
         # decisions call ``live_entries`` far more often than beacons
@@ -125,7 +122,7 @@ class NeighborTable:
 
     #: Queued ingest slices tolerated before an eager merge bounds the
     #: held references.  The TTL drop in ``ingest_shared`` already keeps
-    #: about ``ttl / hello_interval + 1`` slices; this cap holds for any
+    #: about ``ttl / HELLO_INTERVAL + 1`` slices; this cap holds for any
     #: ``ttl``, ``inf`` included.
     _PENDING_MAX = 32
 

@@ -50,6 +50,10 @@ KEYPAIR_BITS = 64
 #: Carrier-sense radius as a multiple of the transmission range
 #: (802.11's ~2.2×) for the MAC's contention-load count.
 CARRIER_SENSE_FACTOR = 2.2
+#: Hello-beacon period, seconds.  The paper has nodes beacon
+#: "periodically" (§2.2) without a period; a neighbor-table row lives
+#: three periods (``NeighborTable.ttl``).  Read by :meth:`start_hello`.
+HELLO_INTERVAL = 1.0
 
 
 def _event_category(packet: Packet) -> str:
@@ -71,14 +75,10 @@ class Network:
         node with a per-node random stream.
     n_nodes:
         Number of nodes.
-    radio:
-        Physical-layer parameters (250 m unit disk by default).
-    hello_interval:
-        Beacon period, seconds.  A neighbor-table entry lives three
-        beacon periods.
 
-    ``SNAPSHOT_RESOLUTION``, ``KEYPAIR_BITS`` and
-    ``CARRIER_SENSE_FACTOR`` are module constants.
+    The radio is a :class:`RadioModel` (250 m unit disk);
+    ``SNAPSHOT_RESOLUTION``, ``KEYPAIR_BITS``, ``CARRIER_SENSE_FACTOR``
+    and ``HELLO_INTERVAL`` are module constants.
     """
 
     def __init__(
@@ -87,18 +87,14 @@ class Network:
         field: Field,
         mobility_factory: Callable[[int, np.random.Generator], MobilityModel],
         n_nodes: int,
-        radio: RadioModel | None = None,
-        hello_interval: float = 1.0,
     ) -> None:
         if n_nodes <= 0:
             raise ValueError(f"n_nodes must be positive, got {n_nodes}")
         self.engine = engine
         self.field = field
-        self.radio = radio if radio is not None else RadioModel()
-        self.hello_interval = hello_interval
+        self.radio = RadioModel()
         self.cs_range = CARRIER_SENSE_FACTOR * self.radio.range_m
         self.mac = Mac80211Dcf(self.radio, engine.rng.stream("mac"))
-        ttl = 3.0 * hello_interval
 
         # The "keys" stream is private to key generation, so drawing
         # every keypair up front leaves the per-node streams untouched.
@@ -109,9 +105,7 @@ class Network:
         for i, keypair in enumerate(keypairs):
             node_rng = engine.rng.stream(f"node-{i}")
             mobility = mobility_factory(i, node_rng)
-            self.nodes.append(
-                Node(i, mobility, keypair, node_rng, neighbor_ttl=ttl)
-            )
+            self.nodes.append(Node(i, mobility, keypair, node_rng))
 
         # Position snapshot cache.  ``_snapshot_positions`` is always
         # the array the grid index was built over; ``_snapshot_scratch``
@@ -494,9 +488,9 @@ class Network:
         offset = float(rng.uniform(0.05, 0.2))
         task = PeriodicTask(
             self.engine,
-            self.hello_interval,
+            HELLO_INTERVAL,
             self._emit_hello_round,
-            jitter=0.1 * self.hello_interval,
+            jitter=0.1 * HELLO_INTERVAL,
             rng=rng,
             start_offset=offset,
             category="hello",

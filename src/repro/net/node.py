@@ -39,10 +39,6 @@ class Node:
         service).
     rng:
         Private random stream (pseudonym fuzz etc.).
-    neighbor_ttl:
-        Expiry for neighbor-table rows, seconds.
-    pseudonym_lifetime:
-        Rotation period for the dynamic pseudonym, seconds.
     """
 
     def __init__(
@@ -51,15 +47,13 @@ class Node:
         mobility: MobilityModel,
         keypair: KeyPair,
         rng: np.random.Generator,
-        neighbor_ttl: float = 3.0,
-        pseudonym_lifetime: float = 30.0,
     ) -> None:
         self.id = node_id
         self.mobility = mobility
         self.keypair = keypair
         mac = node_id.to_bytes(6, "big")
-        self.pseudonyms = PseudonymManager(mac, rng, lifetime=pseudonym_lifetime)
-        self.neighbors = NeighborTable(ttl=neighbor_ttl)
+        self.pseudonyms = PseudonymManager(mac, rng)
+        self.neighbors = NeighborTable()
         self.on_receive: ReceiveHook | None = None
         #: substrate hook fired when fail()/restore() actually flips the
         #: node's state; the owning Network uses it to invalidate its

@@ -12,44 +12,32 @@ memoises its result per payload size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
 class RadioModel:
     """Radio parameters shared by every node.
 
-    Parameters
-    ----------
-    range_m:
-        Unit-disk transmission range in metres.
-    bandwidth_bps:
-        Channel bit rate (802.11 basic rate: 2 Mb/s).
-    phy_preamble_s:
-        PHY preamble + PLCP header airtime (802.11 long preamble:
-        192 µs).
-    mac_overhead_bytes:
-        Link-layer framing bytes added to every payload (802.11 data
-        header + FCS ≈ 34 B).
-    prop_speed_mps:
-        Signal propagation speed.
+    The parameters are class attributes read through ``self`` when
+    used; the airtime memo is per instance, so build a new model after
+    changing one.
     """
 
-    range_m: float = 250.0
-    bandwidth_bps: float = 2e6
-    phy_preamble_s: float = 192e-6
-    mac_overhead_bytes: int = 34
-    prop_speed_mps: float = 3e8
-    #: Per-payload-size airtime cache.  Excluded from equality/hash so
-    #: two models with identical parameters still compare equal; the
-    #: dict is mutated in place, which a frozen dataclass permits.
-    _tx_cache: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    #: Unit-disk transmission range, metres: "a standard wireless
+    #: transmission range of 250 m" (paper §5).
+    range_m = 250.0
+    #: Channel bit rate: the 802.11 basic rate, 2 Mb/s.
+    bandwidth_bps = 2e6
+    #: PHY preamble + PLCP header airtime (802.11 DSSS long preamble:
+    #: 192 µs).
+    phy_preamble_s = 192e-6
+    #: Link-layer framing bytes added to every payload (802.11 data
+    #: header + FCS ≈ 34 B).
+    mac_overhead_bytes = 34
+    #: Signal propagation speed, m/s (speed of light).
+    prop_speed_mps = 3e8
 
-    def __post_init__(self) -> None:
-        if self.range_m <= 0 or self.bandwidth_bps <= 0:
-            raise ValueError(f"invalid radio parameters: {self!r}")
+    def __init__(self) -> None:
+        #: Per-payload-size airtime cache.
+        self._tx_cache: dict[int, float] = {}
 
     def in_range(self, distance_m: float) -> bool:
         """Unit-disk connectivity predicate."""

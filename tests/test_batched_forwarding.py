@@ -35,7 +35,7 @@ point = st.tuples(coord, coord).map(lambda t: Point(*t))
 
 
 def _table(rows: list[tuple[Point, float]]) -> NeighborTable:
-    table = NeighborTable(ttl=3.0)
+    table = NeighborTable()
     for addr, (pos, last_seen) in enumerate(rows):
         table.update(
             NeighborEntry(

@@ -13,8 +13,8 @@ from repro.net.mac import Mac80211Dcf
 from repro.net.radio import RadioModel
 
 
-def _mac(seed: int, **kw) -> Mac80211Dcf:
-    return Mac80211Dcf(RadioModel(), np.random.default_rng(seed), **kw)
+def _mac(seed: int) -> Mac80211Dcf:
+    return Mac80211Dcf(RadioModel(), np.random.default_rng(seed))
 
 
 class TestPfailMemo:

@@ -37,7 +37,8 @@ class TestEnergyModel:
     def test_crypto_energy_prices_cost_model(self):
         cost = CryptoCostModel()
         cost.pubkey_encrypt(4)
-        model = EnergyModel(cpu_power_w=2.0)
+        model = EnergyModel()
+        model.cpu_power_w = 2.0
         assert model.crypto_energy(cost) == pytest.approx(
             4 * cost.pubkey_encrypt_s * 2.0
         )

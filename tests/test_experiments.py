@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     aggregate,
@@ -18,6 +19,7 @@ from repro.experiments.runner import (
 from repro.experiments.sweeps import sweep_single
 from repro.experiments.tables import format_kv_block, format_series_table
 from repro.geometry.field import Field
+from repro.net.radio import RadioModel
 from repro.sim.engine import Engine
 
 
@@ -27,7 +29,7 @@ class TestConfig:
         assert cfg.n_nodes == 200
         assert cfg.field_size == 1000.0
         assert cfg.speed == 2.0
-        assert cfg.radio_range == 250.0
+        assert RadioModel.range_m == 250.0
         assert cfg.packet_size == 512
         assert cfg.send_interval == 2.0
         assert cfg.n_pairs == 10
@@ -57,8 +59,7 @@ class TestConfig:
         "name",
         [
             "duration", "field_size", "group_range", "send_interval",
-            "packet_size", "radio_range", "location_update_interval",
-            "hello_interval",
+            "packet_size",
         ],
     )
     @pytest.mark.parametrize("value", [0, -1, float("nan")])
@@ -70,25 +71,16 @@ class TestConfig:
         "name",
         [
             "duration", "field_size", "group_range", "send_interval",
-            "packet_size", "radio_range", "location_update_interval",
-            "hello_interval", "speed", "drain_time",
+            "packet_size", "speed",
         ],
     )
     def test_infinite_field_rejected_by_name(self, name):
         with pytest.raises(ValueError, match=rf"^{name} must be finite, got inf$"):
             ExperimentConfig(**{name: float("inf")})
 
-    @pytest.mark.parametrize("value", [-3, -0.5, float("nan")])
-    def test_negative_drain_time_rejected(self, value):
-        with pytest.raises(ValueError, match=r"^drain_time must be >= 0, got "):
-            ExperimentConfig(drain_time=value)
-
-    def test_zero_drain_time_accepted(self):
-        assert ExperimentConfig(drain_time=0).drain_time == 0
-
     def test_with_revalidates(self):
-        with pytest.raises(ValueError, match="hello_interval"):
-            ExperimentConfig().with_(hello_interval=0)
+        with pytest.raises(ValueError, match="send_interval"):
+            ExperimentConfig().with_(send_interval=0)
 
     def test_with_override(self):
         cfg = ExperimentConfig().with_(n_nodes=100, speed=4.0)
@@ -214,6 +206,22 @@ class TestRunner:
         )
         r = run_experiment(cfg)
         assert r.mean_hops_with_dissemination() > r.mean_hops
+
+
+class TestDrainTime:
+    """The run continues ``runner.DRAIN_TIME`` seconds past ``duration``."""
+
+    CFG = ExperimentConfig(
+        protocol="GPSR", n_nodes=20, duration=4.0, n_pairs=2,
+        field_size=500.0, seed=4,
+    )
+
+    def test_default_drain_is_three_seconds(self):
+        assert run_experiment(self.CFG).engine.now == self.CFG.duration + 3.0
+
+    def test_zero_drain_ends_at_duration(self, monkeypatch):
+        monkeypatch.setattr(runner, "DRAIN_TIME", 0.0)
+        assert run_experiment(self.CFG).engine.now == self.CFG.duration
 
 
 class TestAggregate:

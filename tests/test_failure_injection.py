@@ -60,9 +60,8 @@ class TestLocationServerFailures:
 class TestLossyChannel:
     def _lossy_network(self, base_loss):
         net = build_network(n_nodes=50, seed=23)
-        net.mac = Mac80211Dcf(
-            net.radio, net.engine.rng.stream("mac-lossy"), base_loss=base_loss
-        )
+        net.mac = Mac80211Dcf(net.radio, net.engine.rng.stream("mac-lossy"))
+        net.mac.base_loss = base_loss
         return net
 
     def _run(self, net, protocol_cls, **cfg_kw):

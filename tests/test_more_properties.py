@@ -40,9 +40,8 @@ class TestPseudonymProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.0, 1e4), st.floats(0.5, 500.0))
     def test_rotation_schedule(self, start, lifetime):
-        m = PseudonymManager(
-            b"\x01" * 6, np.random.default_rng(1), lifetime=lifetime
-        )
+        m = PseudonymManager(b"\x01" * 6, np.random.default_rng(1))
+        m.lifetime = lifetime
         first = m.current(start)
         assert m.current(start + lifetime * 0.99).digest == first.digest
         later = m.current(start + lifetime * 1.01)

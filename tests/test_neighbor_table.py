@@ -8,6 +8,7 @@ import pytest
 from repro.crypto.keys import PublicKey
 from repro.geometry.primitives import Point
 from repro.net.neighbor_table import NeighborEntry, NeighborTable
+from repro.net.network import HELLO_INTERVAL
 
 PK = PublicKey(n=123457, e=65537)
 
@@ -19,16 +20,19 @@ def entry(addr=1, t=0.0, pos=Point(0, 0)):
     )
 
 
+def table(ttl):
+    """A table whose TTL (a class constant) is set on the instance."""
+    t = NeighborTable()
+    t.ttl = ttl
+    return t
+
+
 class TestNeighborTable:
-    def test_invalid_ttl(self):
-        with pytest.raises(ValueError):
-            NeighborTable(ttl=0)
-        for ttl in (float("nan"), -1.0, float("-inf")):
-            with pytest.raises(ValueError, match="ttl must be positive"):
-                NeighborTable(ttl=ttl)
+    def test_ttl_is_three_hello_intervals(self):
+        assert NeighborTable.ttl == 3 * HELLO_INTERVAL
 
     def test_infinite_ttl_never_expires(self):
-        t = NeighborTable(ttl=float("inf"))
+        t = table(float("inf"))
         addrs = [1, 2]
         rows = [entry(addr=a, t=0.0) for a in addrs]
         t.ingest_shared(rows, [0, 1], 0, 2, addrs, 0.0)
@@ -38,25 +42,25 @@ class TestNeighborTable:
         assert t.live_entries(now=1e12) == rows
 
     def test_update_and_get(self):
-        t = NeighborTable(ttl=3.0)
+        t = NeighborTable()
         t.update(entry(addr=5, t=1.0))
         assert t.get(5, now=2.0) is not None
         assert t.get(9, now=2.0) is None
 
     def test_expiry(self):
-        t = NeighborTable(ttl=3.0)
+        t = NeighborTable()
         t.update(entry(addr=5, t=1.0))
         assert t.get(5, now=4.0) is not None  # exactly at cutoff
         assert t.get(5, now=4.1) is None
 
     def test_refresh_extends_life(self):
-        t = NeighborTable(ttl=3.0)
+        t = NeighborTable()
         t.update(entry(addr=5, t=1.0))
         t.update(entry(addr=5, t=5.0))
         assert t.get(5, now=7.0) is not None
 
     def test_live_entries_sorted_and_filtered(self):
-        t = NeighborTable(ttl=3.0)
+        t = NeighborTable()
         t.update(entry(addr=9, t=5.0))
         t.update(entry(addr=2, t=5.0))
         t.update(entry(addr=4, t=0.0))  # stale at now=5
@@ -64,14 +68,14 @@ class TestNeighborTable:
         assert [e.link_address for e in live] == [2, 9]
 
     def test_remove(self):
-        t = NeighborTable(ttl=3.0)
+        t = NeighborTable()
         t.update(entry(addr=5, t=1.0))
         t.remove(5)
         assert t.get(5, now=1.0) is None
         t.remove(5)  # idempotent
 
     def test_purge_deletes_expired(self):
-        t = NeighborTable(ttl=1.0)
+        t = table(1.0)
         t.update(entry(addr=1, t=0.0))
         t.update(entry(addr=2, t=10.0))
         assert t.purge(now=10.0) == 1
@@ -87,7 +91,7 @@ class TestNeighborTable:
 
 class TestSortedCache:
     def test_repeated_reads_reuse_sorted_rows(self):
-        t = NeighborTable(ttl=3.0)
+        t = NeighborTable()
         t.update(entry(addr=3, t=1.0))
         t.update(entry(addr=1, t=1.0))
         t.live_entries(now=1.0)
@@ -97,7 +101,7 @@ class TestSortedCache:
         assert t._sorted is cached
 
     def test_update_invalidates_cache(self):
-        t = NeighborTable(ttl=3.0)
+        t = NeighborTable()
         t.update(entry(addr=1, t=1.0))
         t.live_entries(now=1.0)
         t.update(entry(addr=2, t=1.0))
@@ -105,8 +109,8 @@ class TestSortedCache:
         assert [e.link_address for e in t.live_entries(now=1.0)] == [1, 2]
 
     def test_bulk_update_matches_repeated_update(self):
-        a = NeighborTable(ttl=3.0)
-        b = NeighborTable(ttl=3.0)
+        a = NeighborTable()
+        b = NeighborTable()
         rows = [entry(addr=i, t=float(i % 3)) for i in (5, 2, 9, 2)]
         for r in rows:
             a.update(r)
@@ -115,7 +119,7 @@ class TestSortedCache:
         assert len(a) == len(b) == 3
 
     def test_remove_missing_keeps_cache(self):
-        t = NeighborTable(ttl=3.0)
+        t = NeighborTable()
         t.update(entry(addr=1, t=1.0))
         t.live_entries(now=1.0)
         cached = t._sorted
@@ -123,7 +127,7 @@ class TestSortedCache:
         assert t._sorted is cached
 
     def test_purge_invalidates_only_when_rows_die(self):
-        t = NeighborTable(ttl=1.0)
+        t = table(1.0)
         t.update(entry(addr=1, t=10.0))
         t.live_entries(now=10.0)
         cached = t._sorted
@@ -148,8 +152,8 @@ class TestIngestShared:
         # ``shared_addrs`` reuses one address list object across rounds.
         rng = np.random.default_rng(n_rounds)
         tx_list = [3, 8, 11, 20, 27, 31]
-        lazy = NeighborTable(ttl=100.0)
-        eager = NeighborTable(ttl=100.0)
+        lazy = table(100.0)
+        eager = table(100.0)
         for r in range(n_rounds):
             addrs = tx_list if shared_addrs else list(tx_list)
             entries = [
@@ -185,8 +189,8 @@ class TestIngestShared:
         ttl, step, n_rounds = 1.5, 0.5, 40
         rng = np.random.default_rng(17)
         addrs = list(range(0, 60, 3))
-        lazy = NeighborTable(ttl=ttl)
-        eager = NeighborTable(ttl=ttl)
+        lazy = table(ttl)
+        eager = table(ttl)
         for r in range(n_rounds):
             now = r * step
             entries = [

@@ -9,15 +9,16 @@ from repro.net.mac import Mac80211Dcf
 from repro.net.radio import RadioModel
 
 
-class TestRadioModel:
-    def test_invalid_params_raise(self):
-        with pytest.raises(ValueError):
-            RadioModel(range_m=0)
-        with pytest.raises(ValueError):
-            RadioModel(bandwidth_bps=0)
+def _mac(seed=0, max_retries=None):
+    mac = Mac80211Dcf(RadioModel(), np.random.default_rng(seed))
+    if max_retries is not None:
+        mac.max_retries = max_retries  # a DCF constant, set on the instance
+    return mac
 
+
+class TestRadioModel:
     def test_unit_disk(self):
-        r = RadioModel(range_m=250)
+        r = RadioModel()
         assert r.in_range(249.9)
         assert r.in_range(250.0)
         assert not r.in_range(250.1)
@@ -46,22 +47,19 @@ class TestRadioModel:
 
 
 class TestMacUnicast:
-    def _mac(self, seed=0, **kw):
-        return Mac80211Dcf(RadioModel(), np.random.default_rng(seed), **kw)
-
     def test_idle_channel_mostly_succeeds(self):
-        mac = self._mac()
+        mac = _mac()
         ok = sum(mac.unicast(512, 100.0, 0.0).success for _ in range(200))
         assert ok >= 198  # only residual base_loss can fail all retries
 
     def test_delay_includes_airtime(self):
-        mac = self._mac()
+        mac = _mac()
         out = mac.unicast(512, 100.0, 0.0)
         assert out.delay_s >= mac.radio.tx_time(512)
 
     def test_loaded_channel_slower_and_lossier(self):
-        idle = self._mac(seed=1)
-        busy = self._mac(seed=1)
+        idle = _mac(seed=1)
+        busy = _mac(seed=1)
         idle_out = [idle.unicast(512, 100.0, 0.0) for _ in range(300)]
         busy_out = [busy.unicast(512, 100.0, 30.0) for _ in range(300)]
         idle_attempts = sum(o.attempts for o in idle_out)
@@ -70,37 +68,34 @@ class TestMacUnicast:
         assert sum(o.success for o in busy_out) < sum(o.success for o in idle_out)
 
     def test_retry_limit_bounds_attempts(self):
-        mac = self._mac(max_retries=3)
+        mac = _mac(max_retries=3)
         for _ in range(100):
             out = mac.unicast(512, 100.0, 1000.0)  # hopeless load
             assert out.attempts <= 4
 
     def test_counters_accumulate(self):
-        mac = self._mac()
+        mac = _mac()
         for _ in range(10):
             mac.unicast(512, 100.0, 0.0)
         assert mac.attempts_total >= 10
 
     def test_failure_prob_capped(self):
-        mac = self._mac()
+        mac = _mac()
         assert mac._attempt_failure_prob(1e9) <= 0.95
 
     def test_backoff_grows_with_attempt(self):
-        mac = self._mac(seed=5)
+        mac = _mac(seed=5)
         early = np.mean([mac._backoff(0) for _ in range(500)])
         late = np.mean([mac._backoff(5) for _ in range(500)])
         assert late > early
 
 
 class TestMacDropListener:
-    def _mac(self, seed=0, **kw):
-        return Mac80211Dcf(RadioModel(), np.random.default_rng(seed), **kw)
-
     def test_fires_synchronously_with_drops_total(self):
         # The listener must observe the counter *already incremented*,
         # once per drop, in the exact order drops happen — the contract
         # FlowFeedback.mac_drop relies on.
-        mac = self._mac(max_retries=2)
+        mac = _mac(max_retries=2)
         seen = []
         mac.drop_listener = lambda flow: seen.append((flow, mac.drops_total))
         outcomes = [
@@ -114,7 +109,7 @@ class TestMacDropListener:
         ]
 
     def test_control_frames_report_none_flow(self):
-        mac = self._mac(max_retries=1)
+        mac = _mac(max_retries=1)
         seen = []
         mac.drop_listener = seen.append
         while mac.drops_total == 0:
@@ -124,8 +119,8 @@ class TestMacDropListener:
     def test_listener_does_not_perturb_rng(self):
         # Wiring feedback must never change MAC outcomes: same seed,
         # with and without a listener, gives identical exchanges.
-        plain = self._mac(seed=8, max_retries=2)
-        hooked = self._mac(seed=8, max_retries=2)
+        plain = _mac(seed=8, max_retries=2)
+        hooked = _mac(seed=8, max_retries=2)
         hooked.drop_listener = lambda flow: None
         a = [plain.unicast(512, 100.0, 30.0, flow=i) for i in range(300)]
         b = [hooked.unicast(512, 100.0, 30.0, flow=i) for i in range(300)]

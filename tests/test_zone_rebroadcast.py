@@ -32,7 +32,7 @@ ZONE = Rect(100.0, 100.0, 300.0, 300.0)
 #: the zone can still be closer to the centre than it is.
 ME = Point(101.0, 101.0)
 NOW = 10.0
-TTL = 3.0
+TTL = NeighborTable.ttl
 #: Filler-row counts: a handful, and a table well past 64 rows.
 SIZES = (5, 100)
 
@@ -67,7 +67,7 @@ def _decide(rows, n_filler: int, zone_flood: bool = True) -> bool:
     )
     engine.run(until=NOW)
     node = net.nodes[0]
-    node.neighbors = NeighborTable(ttl=TTL)
+    node.neighbors = NeighborTable()
     node.neighbors.bulk_update([*_filler(n_filler), *rows])
     hdr = AlertHeader(
         ptype=AlertPacketType.RREQ, p_src=b"s", p_dst=b"d", zone_dst=ZONE,

@@ -27,10 +27,6 @@ class TestDirection:
         assert Direction.HORIZONTAL.flip() is Direction.VERTICAL
         assert Direction.VERTICAL.flip() is Direction.HORIZONTAL
 
-    def test_bit_roundtrip(self):
-        for d in Direction:
-            assert Direction(d.bit) is d
-
 
 class TestRequiredPartitions:
     def test_paper_default(self):
