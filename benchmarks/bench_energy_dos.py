@@ -85,7 +85,8 @@ def regen_dos():
             )
             metrics = MetricsCollector()
             cost = CryptoCostModel()
-            location = LocationService(net, cost_model=cost)
+            # The service keeps its own tally, as in run_experiment.
+            location = LocationService(net, cost_model=CryptoCostModel())
             proto_obj = make_protocol(cfg, net, location, metrics, cost)
             net.start_hello()
             engine.run(until=0.5)

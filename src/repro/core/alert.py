@@ -235,11 +235,9 @@ class AlertProtocol(RoutingProtocol):
             self._continue_from(source, packet)
 
         if self.config.notify_and_go:
-            self._after_crypto(
-                packet, delay, lambda: self.notify.run(source, start)
-            )
+            self._after_crypto(delay, lambda: self.notify.run(source, start))
         else:
-            self._after_crypto(packet, delay, start)
+            self._after_crypto(delay, start)
 
     def _rreq_header(self, sess: SessionState, seq: int) -> AlertHeader:
         """A fresh RREQ header for ``seq`` of ``sess``, pseudonyms as of
@@ -400,9 +398,6 @@ class AlertProtocol(RoutingProtocol):
 
         hdr.ttl -= 1
         self._mark_participant(packet, node.id)
-        # Record the transmitting node before the overhear fork copies
-        # the trace, so an overheard delivery reports the full path.
-        packet.record_visit(node.id)
         self.network.unicast(
             node.id,
             choice.link_address,
@@ -411,10 +406,10 @@ class AlertProtocol(RoutingProtocol):
                 node, c, packet, reason
             ),
             flow=packet.flow_id,
-            overhear_fork=self._overhear_fork(packet),
+            overhear=self._overhear_listener(packet),
         )
 
-    def _overhear_fork(self, packet: Packet) -> tuple[int, Packet] | None:
+    def _overhear_listener(self, packet: Packet) -> int | None:
         """Promiscuous destination reception (see AlertConfig).
 
         A unicast frame is physically audible to every node in range of
@@ -425,7 +420,7 @@ class AlertProtocol(RoutingProtocol):
         """
         if not self.config.promiscuous_destination or packet.dst < 0:
             return None
-        return packet.dst, packet.fork()
+        return packet.dst
 
     def _on_link_failure(self, node: Node, choice, packet: Packet, reason: str) -> None:
         """Retry from the same node under the shared hop-retry rule."""
@@ -511,11 +506,11 @@ class AlertProtocol(RoutingProtocol):
             ep = e.position
             if contains(ep) and ep.sq_distance_to(center) < threshold:
                 return  # someone more central will do it
-        branch = packet.fork()
-        branch.header.zone_stage = 2
+        # This node's branch ends here, so it goes out as the rebroadcast.
+        hdr.zone_stage = 2
         self._mark_participant(packet, node.id)
         self.metrics.note("zone_rebroadcasts")
-        self.network.local_broadcast(node.id, branch, flow=packet.flow_id)
+        self.network.local_broadcast(node.id, packet, flow=packet.flow_id)
 
     def _zone_multicast_defended(self, node: Node, packet: Packet) -> None:
         """§3.3 two-step delivery (intersection-attack defense)."""
@@ -530,9 +525,10 @@ class AlertProtocol(RoutingProtocol):
         # streams are per-subsystem, so sending after all scramble draws
         # rather than between them leaves every stream's draws unchanged.
         releases: list[tuple[int, Packet, int | None]] = []
+        # Each holder sends its own held copy: ``state.holders`` is
+        # cleared below, so no one else keeps it.
         for holder_id, held in state.holders:
-            held_pkt: Packet = held  # type: ignore[assignment]
-            release = held_pkt.fork()
+            release: Packet = held  # type: ignore[assignment]
             rhdr: AlertHeader = release.header
             rhdr.zone_stage = 2
             # Fresh scramble so the release is not byte-identical to
@@ -688,7 +684,6 @@ class AlertProtocol(RoutingProtocol):
             src=sess.src,
             dst=sess.dst,
             size_bytes=0,
-            created_at=self.engine.now,
             flow_id=None,  # retransmission; original flow keeps its record
             payload=ciphertext,
         )
@@ -716,7 +711,6 @@ class AlertProtocol(RoutingProtocol):
             src=node.id,
             dst=data_packet.src,
             size_bytes=128,
-            created_at=self.engine.now,
         )
         control.header = AlertHeader(
             ptype=ptype,

@@ -123,7 +123,6 @@ class NotifyAndGo:
             dst=-1,
             size_bytes=len(payload) + len(ttl_enc),
             payload=payload,
-            created_at=self.engine.now,
         )
         packet.header = ttl_enc
         self.metrics.note("cover_tx")

@@ -45,8 +45,8 @@ class ShadowCiphertext(bytes):
         return self
 
     def __getnewargs__(self) -> tuple[bytes, bytes]:
-        # Packets deepcopy their headers on fork; rebuild with both
-        # constructor arguments (plain bytes only carries itself).
+        # copy.deepcopy and pickle rebuild through __new__; hand it
+        # both constructor arguments (plain bytes only carries itself).
         return (bytes(self), self.plaintext)
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "format_series_table",
     "format_kv_block",
     "sweep_metric",
-    "sweep_single",
     "run_many_parallel",
     "parallel_map_cells",
     "worker_count",
@@ -37,7 +36,6 @@ _LAZY = {
     "default_runs": "repro.experiments.runner",
     "RunResult": "repro.experiments.runner",
     "sweep_metric": "repro.experiments.sweeps",
-    "sweep_single": "repro.experiments.sweeps",
     "run_many_parallel": "repro.experiments.parallel",
     "parallel_map_cells": "repro.experiments.parallel",
     "worker_count": "repro.experiments.parallel",

@@ -114,27 +114,3 @@ def sweep_metric(
             k += 1
     return means, cis
 
-
-def sweep_single(
-    base: ExperimentConfig,
-    x_field: str,
-    x_values: Sequence[Any],
-    metric: MetricFn,
-    runs: int | None = None,
-    max_packets_per_pair: int | None = None,
-    workers: int | None = None,
-    on_result: OnResult | None = None,
-) -> tuple[list[float], list[float]]:
-    """One-protocol sweep; returns (means, cis) over ``x_values``."""
-    means, cis = sweep_metric(
-        base,
-        x_field,
-        x_values,
-        [base.protocol],
-        metric,
-        runs=runs,
-        max_packets_per_pair=max_packets_per_pair,
-        workers=workers,
-        on_result=on_result,
-    )
-    return means[base.protocol], cis[base.protocol]

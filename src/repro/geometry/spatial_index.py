@@ -87,9 +87,7 @@ class GridIndex:
     # ------------------------------------------------------------------
     # incremental maintenance
     # ------------------------------------------------------------------
-    def adopt_positions(
-        self, new_positions: np.ndarray, max_crossed: int | None = None
-    ) -> int:
+    def adopt_positions(self, new_positions: np.ndarray) -> int:
         """Replace the whole coordinate array in one incremental step.
 
         The fast path behind ``Network.snapshot``: one vectorised cell
@@ -97,11 +95,6 @@ class GridIndex:
         boundary, and only those are rebucketted; the index then owns
         ``new_positions`` (no per-row copying).  Returns the number of
         cell-crossing nodes.
-
-        If ``max_crossed`` is given and more nodes than that crossed
-        cells, the index is left untouched and ``-1`` is returned — the
-        caller should build a fresh index instead, which is cheaper
-        than that much per-node rebucketing.
         """
         new_positions = np.asarray(new_positions, dtype=np.float64)
         if new_positions.shape != (self._n, 2):
@@ -116,8 +109,6 @@ class GridIndex:
         crossed = np.flatnonzero(
             (cells[:, 0] != old_cells[:, 0]) | (cells[:, 1] != old_cells[:, 1])
         )
-        if max_crossed is not None and crossed.size > max_crossed:
-            return -1
         for raw in crossed:
             i = int(raw)
             self._remove_from_bucket(

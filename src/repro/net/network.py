@@ -118,7 +118,6 @@ class Network:
         self._snapshot_positions: np.ndarray | None = None
         self._snapshot_scratch: np.ndarray | None = None
         self._snapshot_index: GridIndex | None = None
-        self._snapshot_force_rebuild = False
         self._mobilities = [node.mobility for node in self.nodes]
         # Segment-cached batch interpolator: bit-identical to per-node
         # position() calls but only consults models whose trajectory
@@ -179,21 +178,17 @@ class Network:
         """
         return self._interpolator(t, out=out)
 
-    #: Incremental-update cutover: above this fraction of cell-crossing
-    #: nodes a from-scratch rebuild is cheaper than per-node rebucketing.
-    _REBUCKET_FRACTION = 0.3
-
     def snapshot(self) -> tuple[np.ndarray, GridIndex]:
         """Cached (positions, spatial index) at the current time.
 
         Refreshed when the cache is ``SNAPSHOT_RESOLUTION`` seconds old
         or older (so ``SNAPSHOT_RESOLUTION = 0.0`` means "always fresh").
-        A refresh hands the newly interpolated positions to
+        The first call builds the index; every refresh after it hands
+        the newly interpolated positions to
         :meth:`GridIndex.adopt_positions`, which rebuckets only nodes
-        that crossed a cell boundary, falling back to a from-scratch
-        rebuild when more than ``_REBUCKET_FRACTION`` of the nodes
-        crossed cells or a node changed state since the last refresh.
-        Both paths yield result-identical indices.
+        that crossed a cell boundary.  The index holds every node
+        whatever its state (readers filter by :meth:`active_mask`), so
+        a node failing or recovering needs no rebuild.
         """
         now = self.engine.now
         index = self._snapshot_index
@@ -207,47 +202,26 @@ class Network:
         # Batch query: one vectorised interpolation over all nodes
         # (node i's mobility fills row i) into the spare buffer, so the
         # cached array (still owned by the index) survives for diffing.
-        n = self.n_nodes
         scratch = self._snapshot_scratch
-        if scratch is None or scratch.shape != (n, 2):
-            scratch = np.empty((n, 2), dtype=np.float64)
+        if scratch is None:
+            scratch = np.empty((self.n_nodes, 2), dtype=np.float64)
         pos = self._interpolator(now, out=scratch)
 
-        old = self._snapshot_positions
-        if (
-            index is not None
-            and not self._snapshot_force_rebuild
-            and old is not None
-            and len(index) == n
-        ):
-            crossed = index.adopt_positions(
-                pos, max_crossed=int(self._REBUCKET_FRACTION * n)
-            )
-            if crossed >= 0:
-                # The index adopted ``pos``; the previous array becomes
-                # the next refresh's interpolation buffer.
-                self.snapshot_incremental += 1
-                self._snapshot_positions = pos
-                self._snapshot_scratch = old
-                self._snapshot_time = now
-                return pos, index
-
-        self._snapshot_index = GridIndex(pos, self.radio.range_m)
-        self.snapshot_rebuilds += 1
-        # The index took ownership of ``pos``; recycle the previous
-        # array (if any) as the next refresh's interpolation buffer.
+        if index is None:
+            index = self._snapshot_index = GridIndex(pos, self.radio.range_m)
+            self.snapshot_rebuilds += 1
+        else:
+            index.adopt_positions(pos)
+            self.snapshot_incremental += 1
+        # The index owns ``pos`` now; the previous array (if any)
+        # becomes the next refresh's interpolation buffer.
+        self._snapshot_scratch = self._snapshot_positions
         self._snapshot_positions = pos
-        self._snapshot_scratch = old
         self._snapshot_time = now
-        self._snapshot_force_rebuild = False
-        return pos, self._snapshot_index
+        return pos, index
 
     def _on_node_state_change(self, _node: Node) -> None:
         self._active_mask = None
-        # Conservative: the next snapshot refresh rebuilds the index
-        # from scratch instead of diffing (the cache itself stays valid
-        # until it ages out, exactly as before).
-        self._snapshot_force_rebuild = True
 
     def active_mask(self) -> np.ndarray:
         """Boolean mask of live nodes, cached until a node flips state."""
@@ -321,7 +295,7 @@ class Network:
         packet: Packet,
         on_failed: Callable[[str], None] | None = None,
         flow: int | None = None,
-        overhear_fork: tuple[int, Packet] | None = None,
+        overhear: int | None = None,
     ) -> None:
         """One-hop acknowledged frame exchange.
 
@@ -330,11 +304,12 @@ class Network:
         the receiver's protocol hook; failure invokes
         ``on_failed(reason)`` after the wasted airtime elapses.
 
-        ``overhear_fork`` optionally names a promiscuous listener: if
-        that ``(node_id, prepared_packet)`` target is in range of the
-        sender when the frame goes on the air, the prepared packet is
-        delivered to it with the same MAC timing as the exchange —
-        radio frames are broadcast by nature, ACKed or not.
+        ``overhear`` optionally names a promiscuous listener: if that
+        node is live and in range of the sender when the frame goes on
+        the air, it gets a :meth:`~repro.net.packet.Packet.fork` of the
+        frame with the same MAC timing as the exchange — radio frames
+        are broadcast by nature, ACKed or not.  Only then is the frame
+        copied.
         """
         if sender_id == receiver_id:
             raise ValueError("unicast to self")
@@ -362,7 +337,6 @@ class Network:
             reason = "retry-exhausted"
 
         sender.tx_count += outcome.attempts
-        packet.transmissions += outcome.attempts
         self.unicast_tx += outcome.attempts
         self.airtime_tx_s += outcome.attempts * airtime
         if outcome.success:
@@ -382,17 +356,15 @@ class Network:
                 category=category, cancellable=False,
             )
 
-        if overhear_fork is not None:
-            listener_id, prepared = overhear_fork
-            if listener_id != sender_id and listener_id != receiver_id:
-                listener = self.nodes[listener_id]
-                if listener.active and self.radio.in_range(
-                    spos.distance_to(listener.position(now))
-                ):
-                    self.engine.schedule_deliver_batch(
-                        now + outcome.delay_s, [listener], [prepared],
-                        category=_event_category(prepared),
-                    )
+        if overhear is not None and overhear not in (sender_id, receiver_id):
+            listener = self.nodes[overhear]
+            if listener.active and self.radio.in_range(
+                spos.distance_to(listener.position(now))
+            ):
+                self.engine.schedule_deliver_batch(
+                    now + outcome.delay_s, [listener], [packet.fork()],
+                    category=category,
+                )
 
     def local_broadcast(
         self,
@@ -423,7 +395,6 @@ class Network:
         packet.record_visit(sender_id)
         outcome = self.mac.broadcast(packet.size_bytes, self._local_load(spos))
         sender.tx_count += outcome.attempts
-        packet.transmissions += outcome.attempts
         self.broadcast_tx += outcome.attempts
         self.airtime_tx_s += self.radio.tx_time(packet.size_bytes)
         self._register_tx(spos, outcome.delay_s)

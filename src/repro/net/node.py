@@ -57,9 +57,7 @@ class Node:
         self.on_receive: ReceiveHook | None = None
         #: substrate hook fired when fail()/restore() actually flips the
         #: node's state; the owning Network uses it to invalidate its
-        #: cached active-node mask and to force the next position
-        #: snapshot refresh to rebuild its spatial index from scratch
-        #: instead of diffing incrementally.
+        #: cached active-node mask.
         self.on_state_change: Callable[["Node"], None] | None = None
         #: per-node energy proxy: frames transmitted / received
         self.tx_count = 0

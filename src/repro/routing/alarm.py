@@ -74,7 +74,7 @@ class AlarmProtocol(GpsrProtocol):
         now = self.engine.now
         self.dissemination_rounds += 1
         total_rx = 0
-        for node in self.nodes_shuffled():
+        for node in self.network.nodes:
             self.secure_map[node.id] = node.position(now)
             self.cost.sign()
             receivers = self.network.neighbors_of(node.id)
@@ -83,10 +83,6 @@ class AlarmProtocol(GpsrProtocol):
             node.tx_count += 1
         self.metrics.note("dissemination_rx", total_rx)
         self.metrics.note("dissemination_tx", self.network.n_nodes)
-
-    def nodes_shuffled(self) -> list[Node]:
-        """Nodes in id order (kept as a hook for randomised rounds)."""
-        return list(self.network.nodes)
 
     # ------------------------------------------------------------------
     # data plane
@@ -104,7 +100,7 @@ class AlarmProtocol(GpsrProtocol):
         # The source encrypts the packet with its key (one public-key
         # operation) before the first hop.
         delay = self.cost.pubkey_encrypt()
-        self._after_crypto(packet, delay, lambda: self._forward(node, packet))
+        self._after_crypto(delay, lambda: self._forward(node, packet))
 
     def _dispatch(self, node: Node, packet: Packet) -> None:
         if packet.kind is not PacketKind.DATA or not isinstance(
@@ -115,4 +111,4 @@ class AlarmProtocol(GpsrProtocol):
         # The next hop verifies the previous hop's encryption before
         # processing — the per-hop public-key cost of Fig. 14a.
         delay = self.cost.verify()
-        self._after_crypto(packet, delay, lambda: self._forward(node, packet))
+        self._after_crypto(delay, lambda: self._forward(node, packet))

@@ -91,7 +91,7 @@ class Ao2pProtocol(GpsrProtocol):
         node = self.network.nodes[packet.src]
         packet.record_visit(node.id)
         delay = self.cost.pubkey_encrypt()
-        self._after_crypto(packet, delay, lambda: self._forward(node, packet))
+        self._after_crypto(delay, lambda: self._forward(node, packet))
 
     def _dispatch(self, node: Node, packet: Packet) -> None:
         if packet.kind is not PacketKind.DATA or not isinstance(
@@ -102,7 +102,7 @@ class Ao2pProtocol(GpsrProtocol):
         # Hop-by-hop encryption: the new holder re-encrypts for its
         # next hop (one public-key operation per hop).
         delay = self.cost.pubkey_encrypt()
-        self._after_crypto(packet, delay, lambda: self._forward(node, packet))
+        self._after_crypto(delay, lambda: self._forward(node, packet))
 
     def _direct_hand_off(
         self, direct: NeighborEntry, self_pos: Point, target: Point
@@ -121,7 +121,6 @@ class Ao2pProtocol(GpsrProtocol):
         contention = self._contention_delay(
             len(node.neighbors.live_entries(self.engine.now))
         )
-        packet.crypto_delay += contention
         self.engine.schedule_in(
             contention, partial(super()._unicast, node, choice, packet)
         )

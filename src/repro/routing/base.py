@@ -102,7 +102,6 @@ class RoutingProtocol(ABC):
             src=src,
             dst=dst,
             size_bytes=size_bytes,
-            created_at=self.engine.now,
             flow_id=flow_id,
         )
         self._initiate(packet)
@@ -119,9 +118,8 @@ class RoutingProtocol(ABC):
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
-    def _after_crypto(self, packet: Packet, delay: float, fn: Callable[[], None]) -> None:
+    def _after_crypto(self, delay: float, fn: Callable[[], None]) -> None:
         """Charge ``delay`` seconds of crypto processing, then run ``fn``."""
-        packet.crypto_delay += delay
         if delay > 0:
             self.engine.schedule_in(
                 delay, fn, category="control", cancellable=False

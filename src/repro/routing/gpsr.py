@@ -71,8 +71,7 @@ def next_hop_greedy(
 #: the scalar epsilon chain to the NumPy vector pass.  Measured
 #: crossover on this kernel: the vector pass (with its column-cache
 #: build amortised over a round's decisions) wins from ~36 rows; below
-#: that the scalar loop's lack of fixed per-array overhead wins.  Same
-#: adaptive-cutover idiom as ``Network._REBUCKET_FRACTION``.
+#: that the scalar loop's lack of fixed per-array overhead wins.
 _BATCH_MIN = 36
 
 

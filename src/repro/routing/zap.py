@@ -93,7 +93,7 @@ class ZapProtocol(GpsrProtocol):
         # ZAP encrypts the payload for the destination once (symmetric,
         # key assumed established as in the paper's model).
         delay = self.cost.symmetric_encrypt()
-        self._after_crypto(packet, delay, lambda: self._forward(node, packet))
+        self._after_crypto(delay, lambda: self._forward(node, packet))
 
     def _dispatch(self, node: Node, packet: Packet) -> None:
         if packet.kind is not PacketKind.DATA or not isinstance(

@@ -152,9 +152,7 @@ class NaiveIndex:
         return self.positions.shape[0]
 
     # -- mutation (same signature as GridIndex) ------------------------
-    def adopt_positions(
-        self, new_positions: np.ndarray, max_crossed: int | None = None
-    ) -> int:
+    def adopt_positions(self, new_positions: np.ndarray) -> int:
         new_positions = np.asarray(new_positions, dtype=np.float64)
         if new_positions.shape != self.positions.shape:
             raise ValueError(
@@ -170,8 +168,6 @@ class NaiveIndex:
                 )
             )
         )
-        if max_crossed is not None and crossed > max_crossed:
-            return -1
         self.positions = new_positions.copy()
         return crossed
 
@@ -251,9 +247,7 @@ def run_differential(
 
     Every mutation is one ``adopt_positions`` call — the index's only
     write path — on a copy of the current positions with one row or a
-    random batch of rows moved, applied to both implementations; about
-    half of them pass a ``max_crossed`` cap that may refuse the update
-    (both must then return ``-1`` and keep their old positions).  Every
+    random batch of rows moved, applied to both implementations.  Every
     query — plus, on a sampled subset of steps, a query against a third
     from-scratch ``GridIndex`` rebuilt at the current positions — must
     agree across all of them.  Returns the two long-lived indices so
@@ -274,11 +268,8 @@ def run_differential(
                 ids = rng.choice(n, size=min(k, n), replace=False)
             new_pos = naive.positions.copy()
             new_pos[ids] = rng.uniform(lo, hi, size=(ids.size, 2))
-            cap = None
-            if rng.random() < 0.5:
-                cap = int(rng.integers(0, ids.size + 1))
-            assert grid.adopt_positions(new_pos.copy(), cap) == (
-                naive.adopt_positions(new_pos, cap)
+            assert grid.adopt_positions(new_pos.copy()) == (
+                naive.adopt_positions(new_pos)
             ), ctx
         elif op == 2:
             x, y = rng.uniform(lo - 100, hi + 100, size=2)

@@ -16,7 +16,6 @@ from repro.experiments.runner import (
     run_experiment,
     run_many,
 )
-from repro.experiments.sweeps import sweep_single
 from repro.experiments.tables import format_kv_block, format_series_table
 from repro.geometry.field import Field
 from repro.net.radio import RadioModel
@@ -243,19 +242,6 @@ class TestAggregate:
 
     def test_zero_variance(self):
         assert aggregate([2.0, 2.0, 2.0]) == (2.0, 0.0)
-
-
-class TestSweeps:
-    def test_sweep_single(self):
-        base = ExperimentConfig(
-            protocol="GPSR", n_nodes=30, duration=6, n_pairs=2,
-            field_size=600.0,
-        )
-        means, cis = sweep_single(
-            base, "speed", [2.0, 4.0], lambda r: r.delivery_rate, runs=2
-        )
-        assert len(means) == 2 and len(cis) == 2
-        assert all(0 <= m <= 1 for m in means)
 
 
 class TestTables:

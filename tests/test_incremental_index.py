@@ -4,8 +4,8 @@ The index's one write path, ``adopt_positions``, must leave it
 *result-identical* to a from-scratch ``GridIndex`` at the same
 positions and to the brute-force ``NaiveIndex`` oracle, for every query
 method, after arbitrarily long interleaved adopt/query schedules —
-including boundary-straddling updates, out-of-field coordinates,
-duplicate positions, and refused (``max_crossed``) updates.
+including boundary-straddling updates, out-of-field coordinates and
+duplicate positions.
 """
 
 from __future__ import annotations
@@ -59,15 +59,6 @@ class TestAdoptPositions:
             if step % 8 == 0:
                 _agree_everywhere(grid, naive, rng, probes=4)
         _agree_everywhere(grid, naive, rng)
-
-    def test_adopt_over_threshold_leaves_index_untouched(self):
-        rng = np.random.default_rng(12)
-        pos = rng.uniform(0, 1000, size=(50, 2))
-        grid = GridIndex(pos.copy(), 100.0)
-        scattered = rng.uniform(2000, 3000, size=(50, 2))
-        assert grid.adopt_positions(scattered, max_crossed=5) == -1
-        np.testing.assert_array_equal(grid.positions, pos)
-        _agree_everywhere(grid, NaiveIndex(pos, 100.0), rng, probes=5)
 
     def test_adopt_shape_mismatch_raises(self):
         grid = GridIndex(np.zeros((4, 2)), 10.0)

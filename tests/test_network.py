@@ -130,11 +130,11 @@ class TestUnicast:
         assert nbrs, "test network too sparse"
         b = nbrs[0]
         got = []
-        net.nodes[b].on_receive = lambda node, pkt: got.append(pkt.uid)
+        net.nodes[b].on_receive = lambda node, pkt: got.append(pkt)
         pkt = data_packet(src=a, dst=b)
         net.unicast(a, b, pkt)
         net.engine.run()
-        assert got == [pkt.uid]
+        assert len(got) == 1 and got[0] is pkt
         assert pkt.trace[0] == a and pkt.trace[-1] == b
 
     def test_unicast_to_self_raises(self, static_network):
@@ -175,6 +175,57 @@ class TestUnicast:
         assert times and times[0] > 0.0
 
 
+def _line_network(listener_x: float) -> Network:
+    """Sender 0 at x=0, receiver 1 at x=100, listener 2 at ``listener_x``."""
+    xs = (0.0, 100.0, listener_x)
+    return Network(
+        Engine(seed=1), Field(2000.0, 2000.0),
+        lambda i, rng: StaticPosition(Point(xs[i], 500.0)), 3,
+    )
+
+
+class TestOverhear:
+    """``unicast(overhear=...)`` copies the frame only for a listener
+    that hears it."""
+
+    def _send(self, monkeypatch, listener_x):
+        net = _line_network(listener_x)
+        forks = []
+        fork = Packet.fork
+        monkeypatch.setattr(
+            Packet, "fork", lambda self: forks.append(1) or fork(self)
+        )
+        batches = []
+        schedule = net.engine.schedule_deliver_batch
+        monkeypatch.setattr(
+            net.engine, "schedule_deliver_batch",
+            lambda t, targets, pkts, **kw: batches.append(
+                ([n.id for n in targets], [id(p) for p in pkts])
+            ) or schedule(t, targets, pkts, **kw),
+        )
+        got = {}
+        for n in net.nodes:
+            n.on_receive = lambda node, pkt: got.setdefault(node.id, pkt)
+        pkt = data_packet(src=0, dst=2)
+        net.unicast(0, 1, pkt, overhear=2)
+        net.engine.run()
+        return net, pkt, forks, batches, got
+
+    def test_out_of_range_listener_costs_no_copy(self, monkeypatch):
+        net, pkt, forks, batches, got = self._send(monkeypatch, 1500.0)
+        assert forks == []
+        assert batches == [([1], [id(pkt)])]
+        assert net.nodes[2].rx_count == 0 and 2 not in got
+
+    def test_in_range_listener_gets_its_own_copy(self, monkeypatch):
+        net, pkt, forks, batches, got = self._send(monkeypatch, 50.0)
+        assert forks == [1]
+        heard = got[2]
+        assert heard is not pkt and got[1] is pkt
+        assert heard.trace == [0, 2]
+        assert pkt.trace == [0, 1]
+
+
 class TestBroadcast:
     def test_broadcast_reaches_neighbors(self, static_network):
         net = static_network
@@ -202,10 +253,11 @@ class TestBroadcast:
         seen = []
         for n in net.nodes:
             n.on_receive = lambda node, pkt: seen.append(pkt)
-        net.local_broadcast(0, data_packet(src=0, dst=-1))
+        packet = data_packet(src=0, dst=-1)
+        net.local_broadcast(0, packet)
         net.engine.run()
-        uids = [p.uid for p in seen]
-        assert len(uids) == len(set(uids))
+        ids = {id(p) for p in seen}
+        assert len(ids) == len(seen) and id(packet) not in ids
 
     def test_receiver_header_mutation_cannot_affect_other_branch(
         self, static_network

@@ -56,15 +56,15 @@ class TestIncrementalSnapshot:
         assert net.snapshot_rebuilds == 1
         assert net.snapshot_incremental == 10
 
-    def test_large_jump_falls_back_to_rebuild(self):
-        # A 500 s jump moves (essentially) every node to a new cell:
-        # the >30% cell-crossing guard must trigger a full rebuild.
+    def test_large_jump_refreshes_incrementally(self):
+        # A 500 s jump moves (essentially) every node to a new cell;
+        # the one refresh path rebuckets them all and stays correct.
         net = _make_network(speed=8.0)
         net.snapshot()
         net.engine._now += 500.0
         _assert_snapshot_correct(net)
-        assert net.snapshot_rebuilds == 2
-        assert net.snapshot_incremental == 0
+        assert net.snapshot_rebuilds == 1
+        assert net.snapshot_incremental == 1
 
     def test_within_resolution_reuses_cache(self):
         net = _make_network()
@@ -82,27 +82,26 @@ class TestIncrementalSnapshot:
             _assert_snapshot_correct(net)
         assert net.snapshot_incremental > 0  # diff path actually ran
 
-    def test_state_change_forces_full_rebuild_next_refresh(self):
+    def test_state_change_refreshes_incrementally(self):
+        # The index holds dead nodes too; readers filter by the active
+        # mask, so a failure needs no rebuild.
         net = _make_network()
         net.snapshot()
         net.nodes[3].fail()
         net.engine._now += 0.25
-        net.snapshot()
-        assert net.snapshot_rebuilds == 2
-        assert net.snapshot_incremental == 0
-        # Redundant fail() on an already-dead node must not re-arm the
-        # rebuild flag.
-        net.nodes[3].fail()
-        assert not net._snapshot_force_rebuild
-        net.engine._now += 0.25
-        net.snapshot()
+        _assert_snapshot_correct(net)
+        assert net.snapshot_rebuilds == 1
         assert net.snapshot_incremental == 1
+        nbrs = net.neighbors_of(3)  # live nodes in range of the dead one
+        assert nbrs
+        assert all(3 not in net.neighbors_of(n) for n in nbrs)
         net.nodes[3].restore()
-        assert net._snapshot_force_rebuild
+        assert all(3 in net.neighbors_of(n) for n in nbrs)
+        assert net.snapshot_rebuilds == 1
 
     def test_state_change_does_not_invalidate_fresh_cache(self):
-        # fail() marks the *next* refresh for rebuild but, exactly like
-        # the pre-incremental behaviour, does not age out the cache.
+        # fail() drops the active mask but does not age out the
+        # position cache.
         net = _make_network()
         pos1, idx1 = net.snapshot()
         net.nodes[0].fail()

@@ -63,7 +63,7 @@ def _decide(rows, n_filler: int, zone_flood: bool = True) -> bool:
     )
     sent = []
     net.local_broadcast = lambda sender, pkt, flow=None: sent.append(
-        (sender, pkt.header.zone_stage)
+        (sender, pkt, pkt.header.zone_stage)
     )
     engine.run(until=NOW)
     node = net.nodes[0]
@@ -76,9 +76,14 @@ def _decide(rows, n_filler: int, zone_flood: bool = True) -> bool:
     )
     packet = Packet(PacketKind.DATA, src=1, dst=0, size_bytes=64, header=hdr)
     proto._maybe_rebroadcast(node, packet)
-    assert sent in ([], [(0, 2)])
-    assert hdr.zone_stage == 1  # the rebroadcast goes out on a fork
-    return bool(sent)
+    if not sent:
+        assert hdr.zone_stage == 1
+        return False
+    # The received packet itself goes out as the stage-2 rebroadcast.
+    [(sender, out, stage)] = sent
+    assert sender == 0 and out is packet and stage == 2
+    assert packet.header is hdr
+    return True
 
 
 @pytest.mark.parametrize("n_filler", SIZES)
