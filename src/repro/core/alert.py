@@ -105,11 +105,14 @@ class SessionState:
     dest_position: Point
     dest_public: object
     seq: int = 0
-    #: sha256 of sent plaintexts, for end-to-end integrity verification
+    #: sha256 of sent plaintexts not yet delivered, for end-to-end
+    #: integrity verification
     sent_digests: dict[int, bytes] = field(default_factory=dict)
-    #: metrics flow id per sequence number (confirmation-timeout feedback)
+    #: metrics flow id per sequence number (confirmation-timeout
+    #: feedback); filled only with ``enable_confirmation``
     flow_ids: dict[int, int] = field(default_factory=dict)
-    #: retained ciphertexts for resend/NAK recovery
+    #: retained ciphertexts for resend/NAK recovery; filled only with
+    #: ``enable_confirmation``
     retained: dict[int, bytes] = field(default_factory=dict)
     confirm_timers: dict[int, Timer] = field(default_factory=dict)
     resends: dict[int, int] = field(default_factory=dict)
@@ -146,8 +149,6 @@ class AlertProtocol(RoutingProtocol):
         self._dest_received: set[tuple] = set()
         #: intersection-defense holder state per session
         self._holders: dict[int, HolderState] = {}
-        #: processed (session, seq, node, ptype, stage) dedup set
-        self._seen: set[tuple] = set()
         #: optional hook: (time, observable zone recipient ids) per
         #: zone delivery — consumed by the intersection-attack harness.
         #: The observable set is the *addressed* recipients (the m-set
@@ -214,11 +215,14 @@ class AlertProtocol(RoutingProtocol):
             .tobytes()
         )
         sess.sent_digests[seq] = hashlib.sha256(plaintext).digest()
-        if packet.flow_id is not None:
-            sess.flow_ids[seq] = packet.flow_id
         nonce = seq.to_bytes(8, "big")
         ciphertext = SymmetricCipher(sess.key).encrypt(plaintext, nonce)
-        sess.retained[seq] = ciphertext
+        confirm = self.config.enable_confirmation
+        if confirm:
+            # Only ``_resend`` reads these, and only confirmation arms it.
+            if packet.flow_id is not None:
+                sess.flow_ids[seq] = packet.flow_id
+            sess.retained[seq] = ciphertext
 
         delay = self.cost.symmetric_encrypt()
 
@@ -228,7 +232,7 @@ class AlertProtocol(RoutingProtocol):
         packet.size_bytes = header_wire_size(header, len(ciphertext))
 
         source = self.network.nodes[packet.src]
-        if self.config.enable_confirmation:
+        if confirm:
             self._arm_confirmation(sess, seq)
 
         def start() -> None:
@@ -276,22 +280,17 @@ class AlertProtocol(RoutingProtocol):
         # RF round / with a different TD (routes legitimately revisit
         # nodes after re-partitioning), but never twice for the same
         # (stage, round, TD) — that would be a genuine loop or a
-        # duplicate broadcast fork.
+        # duplicate broadcast fork.  The set lives in the header and is
+        # shared by every copy of this packet, so session, seq and type
+        # need not enter the key, and it dies with the last copy.
         td = hdr.td
         key = (
-            hdr.session,
-            hdr.seq,
             node.id,
-            # The enum's value: 1:1 with the member, and its str hash is
-            # cached on the singleton, unlike Enum.__hash__ (pure Python,
-            # re-run per lookup — this key is built for every reception).
-            # ``_value_`` skips the DynamicClassAttribute descriptor.
-            hdr.ptype._value_,
             hdr.zone_stage,
             hdr.rf_rounds,
             (round(td.x, 6), round(td.y, 6)) if td is not None else None,
         )
-        seen = self._seen
+        seen = hdr.seen
         before = len(seen)
         seen.add(key)
         if len(seen) == before:  # single hash for the probe + insert
@@ -602,7 +601,10 @@ class AlertProtocol(RoutingProtocol):
         # broadcast, rebroadcast, overhearing); process each
         # (session, seq, type) once and discard duplicates, so one
         # NAK makes one resend and one RREP one confirmation.  The
-        # type enters as its value, as in ``_on_packet``'s key.
+        # type enters as its value: 1:1 with the member, and its str
+        # hash is cached on the singleton, unlike Enum.__hash__ (pure
+        # Python, re-run per lookup).  ``_value_`` skips the
+        # DynamicClassAttribute descriptor.
         dedup = (hdr.session, hdr.seq, hdr.ptype._value_)
         if dedup in self._dest_received:
             return
@@ -636,7 +638,9 @@ class AlertProtocol(RoutingProtocol):
                 self.cost.symmetric_decrypt()
                 sess = self._sessions.get((packet.src, packet.dst))
                 if sess is not None:
-                    digest = sess.sent_digests.get(hdr.seq)
+                    # Read once: ``_dest_received`` lets each seq
+                    # through here at most once.
+                    digest = sess.sent_digests.pop(hdr.seq, None)
                     if digest == hashlib.sha256(plaintext).digest():
                         self.metrics.note("payload_verified")
                     else:

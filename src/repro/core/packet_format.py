@@ -80,6 +80,10 @@ class AlertHeader(GeoHeader):
     zone_stage: int = 0
     #: set once the RF-round budget is exhausted (last-ditch GPSR run)
     fallback: bool = False
+    #: (node, zone stage, RF round, TD) receptions already handled;
+    #: one set per packet, shared by all its copies (see :meth:`clone`).
+    #: Simulator bookkeeping, not on the wire.
+    seen: set = field(default_factory=set)
 
     def clone(self) -> "AlertHeader":
         """Deep-enough copy for broadcast branches.
@@ -87,11 +91,13 @@ class AlertHeader(GeoHeader):
         :meth:`repro.net.packet.Packet.fork` calls this for every
         broadcast branch, so each receiver can mutate routing state
         (zone stage, bitmap chain, hop state) without affecting
-        siblings.  The mutable ``bitmap_chain`` list is copied;
-        every other field is immutable and shared.  Built via
-        ``__dict__`` copy rather than the 22-keyword constructor: every
-        broadcast branch pays this, making it one of the hottest
-        allocation sites of a run.
+        siblings.  The mutable ``bitmap_chain`` list is copied.  The
+        ``seen`` dedup set is shared on purpose: it records which nodes
+        have handled this packet in any of its copies, and it is freed
+        with the last copy.  Every other field is immutable and shared.
+        Built via ``__dict__`` copy rather than the 23-keyword
+        constructor: every broadcast branch pays this, making it one of
+        the hottest allocation sites of a run.
         """
         new = object.__new__(AlertHeader)
         d = new.__dict__

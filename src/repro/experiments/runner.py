@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from repro.core.alert import AlertProtocol
 from repro.core.config import AlertConfig
@@ -409,7 +408,12 @@ def aggregate(values: list[float], confidence: float = 0.95) -> tuple[float, flo
     """Mean and half-width of the Student-t confidence interval.
 
     NaNs are dropped; a single sample gets a zero-width interval.
+    ``scipy.stats`` is imported here, not at module level: it would be
+    the largest share of every simulation process's memory, and no run
+    calls this.
     """
+    from scipy import stats
+
     clean = [v for v in values if not math.isnan(v)]
     if not clean:
         return float("nan"), float("nan")

@@ -14,6 +14,9 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+# numpy loads its ``random`` subpackage on first attribute access; load
+# it with this module so a run's first setup does not pay for it.
+import numpy.random  # noqa: F401
 
 
 def derive_seed(master_seed: int, name: str) -> int:
