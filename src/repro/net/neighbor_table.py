@@ -14,11 +14,26 @@ which is what degrades routing at 8 m/s in Figs. 15b/16b.
 beacon came from": protocols may use it to hand a frame back to the
 link layer, but must never treat it as an identity (the pseudonym is
 the identity).
+
+Tables pull their rows; beacons push nothing.  A hello round
+(:meth:`repro.net.network.Network._emit_hello_round`) is recorded once,
+as a :class:`HelloRound` in the network's :class:`HelloLog`: which
+nodes beaconed, what they advertised, and which of them each live node
+heard.  The log keeps the rounds of the last ``NeighborTable.ttl``
+seconds.  Each table keeps a cursor into it: every read and every eager
+write first merges the rounds the table has not merged yet, oldest
+first, so a table holds what storing each round's beacons on arrival
+would have stored, minus rows that expired before anyone read them.  A
+round builds its rows on the first merge that needs them, so a round
+nobody reads builds none, and only tables that are read store any.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable
 
@@ -39,16 +54,125 @@ class NeighborEntry:
     last_seen: float
 
 
+class HelloRound:
+    """One hello round, as recorded by the network.
+
+    Every node that was live beaconed: transmitter ``j`` is node
+    ``tx_list[j]`` (ascending ids), and ``centers[j]`` and
+    ``digests[j]`` are the position and pseudonym it advertised.  Node
+    ``a`` heard the transmitters ``heard[lo:hi]``, with
+    ``(lo, hi) = bounds[a]`` — ``(0, 0)`` if it was down.  ``publics``
+    holds every node's public key by id.  The round's rows are built on
+    its first merge, so a round nobody reads builds none.
+    """
+
+    __slots__ = (
+        "time", "seq", "tx_list", "centers", "digests", "heard", "bounds",
+        "publics", "_rows",
+    )
+
+    def __init__(
+        self,
+        time: float,
+        tx_list: list[int],
+        centers: np.ndarray,
+        digests: list[bytes],
+        heard: array,
+        bounds: np.ndarray,
+        publics: list[PublicKey],
+    ) -> None:
+        self.time = time
+        #: position in the owning log; set by :meth:`HelloLog.append`
+        self.seq = 0
+        self.tx_list = tx_list
+        self.centers = centers
+        self.digests = digests
+        self.heard = heard
+        self.bounds = bounds
+        self.publics = publics
+        # one row per transmitter index, built on the first merge
+        self._rows: list[NeighborEntry] | None = None
+
+    def _build_rows(self) -> list[NeighborEntry]:
+        """Every transmitter's row, in index order."""
+        xs = self.centers[:, 0].tolist()
+        ys = self.centers[:, 1].tolist()
+        return list(map(
+            NeighborEntry,
+            self.tx_list,
+            self.digests,
+            map(Point, xs, ys),
+            map(self.publics.__getitem__, self.tx_list),
+            repeat(self.time),
+        ))
+
+    def merge_into(self, table: dict[int, NeighborEntry], node_id: int) -> bool:
+        """Store the rows ``node_id`` heard in this round into ``table``.
+
+        Returns whether any row was stored.
+        """
+        lo, hi = self.bounds[node_id].tolist()
+        if lo == hi:
+            return False
+        js = self.heard[lo:hi].tolist()
+        tx_list = self.tx_list
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._build_rows()
+        if len(js) > 1:
+            # one C-level gather each for addresses and rows
+            g = itemgetter(*js)
+            table.update(zip(g(tx_list), g(rows)))
+        else:
+            j = js[0]
+            table[tx_list[j]] = rows[j]
+        return True
+
+
+class HelloLog:
+    """The hello rounds a table may still need, oldest first.
+
+    ``seq`` counts every round ever appended, so a table that has
+    merged up to ``seq`` is current.  Rounds older than ``now - ttl``
+    are dropped when the next one arrives: none of their rows could
+    pass a liveness test again (the simulation clock only grows).
+    """
+
+    __slots__ = ("rounds", "seq")
+
+    def __init__(self) -> None:
+        self.rounds: deque[HelloRound] = deque()
+        self.seq = 0
+
+    def append(self, rnd: HelloRound) -> None:
+        """Record ``rnd`` and drop the rounds past the TTL at its time."""
+        self.seq += 1
+        rnd.seq = self.seq
+        rounds = self.rounds
+        rounds.append(rnd)
+        cutoff = rnd.time - NeighborTable.ttl
+        while rounds[0].time < cutoff:
+            rounds.popleft()
+
+
+#: The log of a table that belongs to no network; it never grows.
+_NO_ROUNDS = HelloLog()
+
+
 class NeighborTable:
     """A node's view of its one-hop neighborhood.
+
+    ``node_id`` and ``log`` tie the table to its node and to the
+    network's :class:`HelloLog`; a table built without them holds only
+    what is written to it.
 
     Liveness: a row whose ``last_seen`` is older than ``now - ttl`` is
     invisible to every reader — :meth:`get` and :meth:`live_entries`
     filter it, and callers of :meth:`columns` mask it with the same
     predicate.  Dead rows may still be stored (until :meth:`purge`),
-    and queued hello slices past the TTL are dropped unapplied, so
-    ``len()`` counts stored rows, not live ones; it only picks between
-    the parity-tested lanes of ``next_hop_greedy_batched``
+    and rounds past the TTL are never merged, so ``len()`` counts
+    stored rows, not live ones; it only picks between the
+    parity-tested lanes of ``next_hop_greedy_batched``
     (``gpsr._BATCH_MIN``).
     """
 
@@ -57,9 +181,12 @@ class NeighborTable:
     #: (``repro.net.network.HELLO_INTERVAL``), so one or two lost
     #: beacons do not evict a live neighbor.  Read through ``self``, so
     #: a test may set it on one table; ``inf`` means rows never expire.
+    #: A network's :class:`HelloLog` keeps rounds for the class value.
     ttl = 3.0
 
-    def __init__(self) -> None:
+    def __init__(
+        self, node_id: int | None = None, log: HelloLog | None = None
+    ) -> None:
         self._entries: dict[int, NeighborEntry] = {}
         # Address-sorted row cache, invalidated on any write.  Routing
         # decisions call ``live_entries`` far more often than beacons
@@ -68,63 +195,41 @@ class NeighborTable:
         # Column view of the sorted rows (positions, last-seen) for the
         # batched forwarding path; rebuilt lazily alongside ``_sorted``.
         self._columns: tuple | None = None
-        # Deferred hello ingests: (seen, entries, idx, lo, hi, addrs)
-        # slices queued by ``ingest_shared`` and materialised — in
-        # arrival order, so later rounds overwrite earlier ones exactly
-        # as an eager store would — on the first read or eager write.
-        # Most nodes in a large field forward nothing between rounds,
-        # so their rows are never materialised at all, and slices that
-        # pass the TTL unread are dropped.
-        self._pending: list[tuple] = []
+        self._node_id = node_id
+        self._log = _NO_ROUNDS if log is None else log
+        # ``seq`` of the last round merged
+        self._merged = self._log.seq
 
-    def _apply_pending(self) -> None:
-        """Materialise queued ``ingest_shared`` slices in arrival order."""
-        table = self._entries
-        for _, entries, idx, lo, hi, addrs in self._pending:
-            # Gather addresses and rows with one C-level itemgetter each
-            # and merge via ``dict.update`` — same stores, same order,
-            # no per-row interpreter steps.  ``idx`` may be a numpy
-            # array (the hello round shares one pair array per round);
-            # the slice is materialised here, per applied slice, not for
-            # the whole round.
-            if hi - lo > 1:
-                rows = idx[lo:hi]
-                if type(rows) is not list:
-                    rows = rows.tolist()
-                g = itemgetter(*rows)
-                table.update(zip(g(addrs), g(entries)))
-            else:
-                t = idx[lo]
-                table[addrs[t]] = entries[t]
-        self._pending.clear()
+    def _merge(self) -> None:
+        """Merge the log's unmerged rounds, oldest first."""
+        log = self._log
+        merged = self._merged
+        stored = False
+        for rnd in log.rounds:
+            if rnd.seq > merged and rnd.merge_into(self._entries, self._node_id):
+                stored = True
+        self._merged = log.seq
+        if stored:
+            self._sorted = None
+            self._columns = None
 
     def update(self, entry: NeighborEntry) -> None:
         """Insert or refresh the row for ``entry.link_address``."""
-        if self._pending:
-            self._apply_pending()
+        if self._merged != self._log.seq:
+            self._merge()
         self._entries[entry.link_address] = entry
         self._sorted = None
         self._columns = None
 
     def bulk_update(self, entries: Iterable[NeighborEntry]) -> None:
-        """Insert or refresh many rows with one cache invalidation.
-
-        The eager equivalent of :meth:`ingest_shared`; the hello round
-        itself queues slices through the inlined ``ingest_shared``.
-        """
-        if self._pending:
-            self._apply_pending()
+        """Insert or refresh many rows with one cache invalidation."""
+        if self._merged != self._log.seq:
+            self._merge()
         table = self._entries
         for entry in entries:
             table[entry.link_address] = entry
         self._sorted = None
         self._columns = None
-
-    #: Queued ingest slices tolerated before an eager merge bounds the
-    #: held references.  The TTL drop in ``ingest_shared`` already keeps
-    #: about ``ttl / HELLO_INTERVAL + 1`` slices; this cap holds for any
-    #: ``ttl``, ``inf`` included.
-    _PENDING_MAX = 32
 
     def ingest_shared(
         self,
@@ -133,52 +238,31 @@ class NeighborTable:
         lo: int,
         hi: int,
         addrs: list[int],
-        seen: float,
     ) -> None:
-        """Store rows ``entries[t] for t in idx[lo:hi]``.
+        """Store ``entries[t]`` under ``addrs[t]`` for ``t in idx[lo:hi]``.
 
-        The vectorised hello round hands every receiver a slice of one
-        shared per-round index list.  The slice is queued, not stored:
-        materialisation happens on the table's next read (or eager
-        write), so nodes that make no forwarding decision between
-        rounds — the vast majority of a 10k-node field — never pay the
-        per-row dict stores at all.  Equivalent to ``bulk_update`` over
-        the same rows: application order is arrival order, so a later
-        round's row for the same address wins exactly as it would
-        eagerly.  ``addrs`` carries ``entries[t].link_address`` as
-        ``addrs[t]`` (one shared per-round list), sparing the
-        materialisation loop an attribute load per row.
-
-        ``seen`` is the round time: no row of the slice has a later
-        ``last_seen``, and the table is never read at an earlier time
-        (the simulation clock only grows).  Queued slices whose round
-        time is below ``seen - ttl`` are dropped first — from the front
-        of the queue, which holds every such slice when rounds arrive in
-        time order: their rows could never pass a liveness test again,
-        so the live view is unchanged and only dead rows go unstored.
+        Equivalent to :meth:`bulk_update` over those rows.
         """
-        pending = self._pending
-        cutoff = seen - self.ttl
-        while pending and pending[0][0] < cutoff:
-            del pending[0]
-        if len(pending) >= self._PENDING_MAX:
-            self._apply_pending()
-        pending.append((seen, entries, idx, lo, hi, addrs))
+        if self._merged != self._log.seq:
+            self._merge()
+        table = self._entries
+        for t in idx[lo:hi]:
+            table[addrs[t]] = entries[t]
         self._sorted = None
         self._columns = None
 
     def remove(self, link_address: int) -> None:
         """Drop a row (e.g., after repeated link-layer failures)."""
-        if self._pending:
-            self._apply_pending()
+        if self._merged != self._log.seq:
+            self._merge()
         if self._entries.pop(link_address, None) is not None:
             self._sorted = None
             self._columns = None
 
     def live_entries(self, now: float) -> list[NeighborEntry]:
         """All non-expired rows, sorted by link address (deterministic)."""
-        if self._pending:
-            self._apply_pending()
+        if self._merged != self._log.seq:
+            self._merge()
         rows = self._sorted
         if rows is None:
             rows = [e for _, e in sorted(self._entries.items())]
@@ -197,8 +281,8 @@ class NeighborTable:
         here — callers mask with ``last_seen >= now - ttl``, which is
         exactly :meth:`live_entries`'s cutoff predicate.
         """
-        if self._pending:
-            self._apply_pending()
+        if self._merged != self._log.seq:
+            self._merge()
         cols = self._columns
         if cols is None or self._sorted is None:
             rows = self._sorted
@@ -214,8 +298,8 @@ class NeighborTable:
 
     def get(self, link_address: int, now: float) -> NeighborEntry | None:
         """The live row for ``link_address``, or ``None``."""
-        if self._pending:
-            self._apply_pending()
+        if self._merged != self._log.seq:
+            self._merge()
         e = self._entries.get(link_address)
         if e is None or e.last_seen < now - self.ttl:
             return None
@@ -223,8 +307,8 @@ class NeighborTable:
 
     def purge(self, now: float) -> int:
         """Physically delete expired rows; returns how many were removed."""
-        if self._pending:
-            self._apply_pending()
+        if self._merged != self._log.seq:
+            self._merge()
         cutoff = now - self.ttl
         dead = [a for a, e in self._entries.items() if e.last_seen < cutoff]
         for a in dead:
@@ -235,6 +319,6 @@ class NeighborTable:
         return len(dead)
 
     def __len__(self) -> int:
-        if self._pending:
-            self._apply_pending()
+        if self._merged != self._log.seq:
+            self._merge()
         return len(self._entries)

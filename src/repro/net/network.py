@@ -15,7 +15,7 @@ ALARM, AO2P) is built from these.
 from __future__ import annotations
 
 import heapq
-from itertools import repeat
+from array import array
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from repro.geometry.primitives import Point, Rect
 from repro.geometry.spatial_index import GridIndex
 from repro.mobility.base import MobilityModel, SnapshotInterpolator
 from repro.net.mac import Mac80211Dcf, MacOutcome
-from repro.net.neighbor_table import NeighborEntry, NeighborTable
+from repro.net.neighbor_table import HelloLog, HelloRound
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
 from repro.net.radio import RadioModel
@@ -101,20 +101,27 @@ class Network:
         keypairs = generate_keypair(
             engine.rng.stream("keys"), bits=KEYPAIR_BITS, size=n_nodes
         )
+        #: the hello rounds of the last ``NeighborTable.ttl`` seconds,
+        #: from which every node's neighbor table pulls its rows
+        self.hello_rounds = HelloLog()
         self.nodes: list[Node] = []
         for i, keypair in enumerate(keypairs):
             node_rng = engine.rng.stream(f"node-{i}")
             mobility = mobility_factory(i, node_rng)
-            self.nodes.append(Node(i, mobility, keypair, node_rng))
+            self.nodes.append(
+                Node(i, mobility, keypair, node_rng, self.hello_rounds)
+            )
 
         # Position snapshot cache.  ``_snapshot_positions`` is always
         # the array the grid index was built over; ``_snapshot_scratch``
         # is a second (N, 2) buffer the next refresh interpolates into,
         # so old and new positions can be diffed without allocating.
         self._snapshot_time: float = -1.0
-        # Per-node long-term public keys (keypairs never rotate) for the
-        # hello round's row construction.
+        # Per-node long-term public keys (keypairs never rotate) and one
+        # int object per node id, for the rows built from hello rounds:
+        # rows and table keys share these instead of holding new ints.
         self._publics = [kp.public for kp in keypairs]
+        self._ids = list(range(n_nodes))
         self._snapshot_positions: np.ndarray | None = None
         self._snapshot_scratch: np.ndarray | None = None
         self._snapshot_index: GridIndex | None = None
@@ -471,8 +478,18 @@ class Network:
     def _emit_hello_round(self) -> None:
         """One beacon round: every live node advertises to its neighbors.
 
-        Batched: the first transmitter's state is built exactly as the
-        scalar sequence (pseudonym fuzz draw, then position/trajectory
+        The round is recorded, not delivered: a :class:`HelloRound`
+        holding the transmitters, what they advertised and, for each
+        live node, which transmitters it heard goes into
+        :attr:`hello_rounds`.  Each neighbor table pulls its rows from
+        there when it is next read or written, and a round builds its
+        rows only then (see :mod:`repro.net.neighbor_table`).
+
+        Draws and counters are those of the scalar round (one beacon
+        per live node in ascending order, receivers from
+        :meth:`neighbors_of`) that the test suite keeps as its
+        reference oracle.  The first transmitter's state is built as in
+        that sequence (pseudonym fuzz draw, then position/trajectory
         draw, then the round's snapshot refresh — where the scalar
         path's ``neighbors_of`` would refresh it); the remaining
         transmitters' pseudonyms are then drawn in ascending node order
@@ -486,39 +503,27 @@ class Network:
         pseudonym-then-position, as in the scalar loop; streams are
         per-node (per-group for RPGM, which both passes visit in
         ascending order), so cross-node interleaving is draw-order
-        neutral.  The in-range test groups transmitters by grid cell via
-        :meth:`GridIndex.grouped_candidates` instead of running one grid
-        query per transmitter, so the pairwise arithmetic scales with
-        local density instead of N², and receiver tables ingest each
-        round's rows through :meth:`NeighborTable.ingest_shared`.  The
-        pass repeats ``GridIndex.query_radius``'s arithmetic (the
-        candidate set is a superset filtered by this exact predicate),
-        so the accepted pairs — and therefore every metric — are
-        bit-identical to the scalar round (one beacon per live node in
-        ascending order, receivers from :meth:`neighbors_of`) that the
-        test suite keeps as its reference oracle.
+        neutral.  Who heard whom is worked out with receivers grouped
+        by grid cell (:meth:`GridIndex.grouped_candidates`), each group
+        against its candidate transmitters under
+        ``GridIndex.query_radius``'s exact arithmetic, so the pairwise
+        work scales with local density instead of N²; ``airtime_rx_s``
+        counts each transmitter's receivers from the result.
         """
         now = self.engine.now
         nodes = self.nodes
         active = self.active_mask()
         tx_ids = np.flatnonzero(active)
-        tx_list = tx_ids.tolist()
-        n_tx = int(tx_ids.size)
+        tx_list = list(map(self._ids.__getitem__, tx_ids.tolist()))
+        n_tx = len(tx_list)
         if n_tx == 0:
             return
         hello_air = self.radio.tx_time(self.hello_size_bytes)
-        # First transmitter exactly as the scalar sequence: entry built
-        # (pseudonym draw, then position draw), then the round's
-        # snapshot refresh.
-        i0 = tx_list[0]
-        node0 = nodes[i0]
-        first = NeighborEntry(
-            link_address=i0,
-            pseudonym=node0.pseudonym_at(now),
-            position=node0.position(now),
-            public_key=node0.keypair.public,
-            last_seen=now,
-        )
+        # First transmitter exactly as the scalar sequence: pseudonym
+        # draw, then position draw, then the round's snapshot refresh.
+        node0 = nodes[tx_list[0]]
+        pseudonyms = [node0.pseudonym_at(now)]
+        p0 = node0.position(now)
         snap_pos, snap_index = self.snapshot()
         # Round counters in ascending order — the same sequence of
         # float adds as the per-transmitter loop.
@@ -528,15 +533,13 @@ class Network:
             nodes[i].tx_count += 1
             air += hello_air
         self.airtime_tx_s = air
-        rest = tx_list[1:]
         # Inlined ``pseudonym_at`` fast path: with a 30 s lifetime and
         # ~1 s rounds, almost no pseudonym rotates in a given round, so
         # the common case is one validity test and a digest read;
         # rotation falls back to the full call (same draws, same
         # manager state as the scalar path).
-        pseudonyms = []
         _append = pseudonyms.append
-        for i in rest:
+        for i in tx_list[1:]:
             mgr = nodes[i].pseudonyms
             cur = mgr._current
             if cur is not None and cur.valid_at(now):
@@ -544,10 +547,9 @@ class Network:
             else:
                 _append(mgr.current(now).digest)
         centers = np.empty((n_tx, 2), dtype=np.float64)
-        p0 = first.position
         centers[0, 0] = p0.x
         centers[0, 1] = p0.y
-        if rest:
+        if n_tx > 1:
             if self._snapshot_time == now:
                 # The snapshot was interpolated at exactly this instant
                 # (bit-identical to the trajectory read) and refreshing
@@ -569,113 +571,57 @@ class Network:
                     )
                 self._interpolator(now, out=buf)
                 centers[1:] = buf[tx_ids[1:]]
-        # Positional construction (field order: link_address, pseudonym,
-        # position, public_key, last_seen) builds every advertised row
-        # of the round; ``map`` keeps the per-row work (one frozen
-        # Point, one entry) inside C-level iteration.
-        entries: list[NeighborEntry] = [first]
-        if rest:
-            publics = self._publics
-            entries += map(
-                NeighborEntry,
-                rest,
-                pseudonyms,
-                map(Point, centers[1:, 0].tolist(), centers[1:, 1].tolist()),
-                [publics[i] for i in rest],
-                repeat(now),
-            )
+        # Who heard whom.  Every live node beacons, so receiver ``j`` is
+        # transmitter ``j``, listening at its snapshot position.
+        # Receivers are grouped by grid cell, and each group shares one
+        # gather of the transmitters whose cells lie within reach — a
+        # superset of its true senders (cell size ≥ radius) — filtered
+        # by ``GridIndex.query_radius``'s exact arithmetic.  Each
+        # receiver's senders are appended to ``heard`` as one slice, so
+        # no (receiver, transmitter) pair array is built or sorted.
         r = self.radio.range_m
         r2 = r * r
-        round_rxs: list[np.ndarray] = []
-        round_txs: list[np.ndarray] = []
-        # Transmitters sharing a grid cell share one candidate gather
-        # (their 3×3-cell neighborhood), so the pairwise test touches
-        # ~local-density rows per transmitter instead of all N.  The
-        # candidate set is a superset of every true receiver (cell size
-        # ≥ radius), filtered by the exact predicate below.  With no
-        # failed nodes (the common case) the per-group active filter is
-        # an identity copy — skip it wholesale.
-        all_active = bool(active.all())
-        for q, cand in snap_index.grouped_candidates(centers, r):
-            if not all_active:
-                cand = cand[active[cand]]
-                if cand.size == 0:
-                    continue
-            # one fancy-index gather per group; the column views
-            # reproduce the reference dx*dx + dy*dy term order
-            sp = snap_pos[cand]
-            cq = centers[q]
-            dx = sp[:, :1] - cq[:, 0]
-            dy = sp[:, 1:] - cq[:, 1]
+        rx = snap_pos[tx_ids]
+        # transmitter indices fit 16 bits up to 65,536 live nodes
+        wide = n_tx > 0x10000
+        heard = array("i" if wide else "H")
+        heard_dtype = np.int32 if wide else np.uint16
+        bounds = np.empty((n_tx, 2), dtype=np.int64)
+        # receivers per transmitter, for the airtime count
+        counts = np.zeros(n_tx, dtype=np.int64)
+        senders = GridIndex(centers, snap_index.cell_size)
+        for q, cand in senders.grouped_candidates(rx, r):
+            # the column views reproduce the reference dx*dx + dy*dy
+            # term order
+            dx = rx[q, :1] - centers[cand, 0]
+            dy = rx[q, 1:] - centers[cand, 1]
             dx *= dx
             dy *= dy
             dx += dy
-            rl, tl = np.nonzero(dx <= r2)
-            if rl.size:
-                round_rxs.append(cand[rl])
-                round_txs.append(q[tl])
-        if not round_rxs:
-            return
-        # Self-pairs are excluded in ONE global compare over the round's
-        # accepted pairs (each transmitter is its own candidate exactly
-        # once), and the per-transmitter receiver counts come from ONE
-        # bincount over the surviving pair list, without ~2 small-array
-        # passes per grid cell.  Pair order within a receiver differs
-        # from the ascending-transmitter order only across groups, which
-        # is unobservable: each (rx, tx) pair appears once per round and
-        # every table read sorts by address.
-        rxs = np.concatenate(round_rxs)
-        txs = np.concatenate(round_txs)
-        keep = rxs != tx_ids[txs]
-        rxs = rxs[keep]
-        txs = txs[keep]
+            hit = dx <= r2
+            hit &= cand != q[:, None]  # no node hears its own beacon
+            counts[cand] += hit.sum(axis=0)
+            rl, tl = np.nonzero(hit)
+            ends = np.searchsorted(rl, np.arange(q.size + 1))
+            ends += len(heard)
+            bounds[q, 0] = ends[:-1]
+            bounds[q, 1] = ends[1:]
+            heard.frombytes(cand[tl].astype(heard_dtype).tobytes())
         # Receiver airtime in ascending transmitter order — the same
         # sequence of float adds as the per-transmitter loop.
         air_rx = self.airtime_rx_s
-        for c in np.bincount(txs, minlength=n_tx).tolist():
+        for c in counts.tolist():
             air_rx += hello_air * c
         self.airtime_rx_s = air_rx
-        if rxs.size == 0:
-            return
-        if len(round_rxs) > 1:
-            # One ingest per receiver per round: sort the pairs by
-            # receiver.  Stable-sorting uint16 keys is ~4× faster than
-            # int64 at these sizes (and the sort-order gathers shrink
-            # with them); node ids below 65536 cast losslessly, so the
-            # permutation is identical.
-            if len(nodes) <= 0xFFFF:
-                rxs = rxs.astype(np.uint16)
-                txs = txs.astype(np.uint16)
-            order = np.argsort(rxs, kind="stable")
-            rxs = rxs[order]
-            txs = txs[order]
-        # ``txs`` stays a numpy array: receivers that never read their
-        # table before the slice is superseded never pay to materialise
-        # their rows, so converting the whole round's pair list to
-        # Python ints up front would mostly be wasted.
-        starts = np.flatnonzero(np.diff(rxs)) + 1
-        ends = starts.tolist()
-        heads = rxs[[0, *ends]].tolist()
-        ends.append(len(txs))
-        a = 0
-        # Inlined ``NeighborTable.ingest_shared`` (one slice append per
-        # receiver, ~N of them per round): the method-call dispatch
-        # alone is a measurable share of the round at large N.  Keep
-        # the two paths in lockstep — this is the same TTL drop, queue
-        # append, eager-flush bound and cache invalidation.
-        pending_max = NeighborTable._PENDING_MAX
-        for rid, b in zip(heads, ends):
-            nt = nodes[rid].neighbors
-            pending = nt._pending
-            cutoff = now - nt.ttl
-            while pending and pending[0][0] < cutoff:
-                del pending[0]
-            if len(pending) >= pending_max:
-                nt._apply_pending()
-            pending.append((now, entries, txs, a, b, tx_list))
-            nt._sorted = None
-            nt._columns = None
-            a = b
+        # by node id; a node that was down heard nothing
+        heard_by = np.zeros((len(nodes), 2), dtype=np.int64)
+        heard_by[tx_ids] = bounds
+        self.hello_rounds.append(
+            HelloRound(
+                now, tx_list, centers, pseudonyms, heard, heard_by,
+                self._publics,
+            )
+        )
 
     def stop_hello(self) -> None:
         """Stop all beacon tasks (end of a run)."""

@@ -10,7 +10,7 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.pseudonym import PseudonymManager
 from repro.geometry.primitives import Point
 from repro.mobility.base import MobilityModel
-from repro.net.neighbor_table import NeighborTable
+from repro.net.neighbor_table import HelloLog, NeighborTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.packet import Packet
@@ -39,6 +39,8 @@ class Node:
         service).
     rng:
         Private random stream (pseudonym fuzz etc.).
+    hello_log:
+        The network's hello rounds, which the neighbor table reads.
     """
 
     def __init__(
@@ -47,13 +49,14 @@ class Node:
         mobility: MobilityModel,
         keypair: KeyPair,
         rng: np.random.Generator,
+        hello_log: HelloLog,
     ) -> None:
         self.id = node_id
         self.mobility = mobility
         self.keypair = keypair
         mac = node_id.to_bytes(6, "big")
         self.pseudonyms = PseudonymManager(mac, rng)
-        self.neighbors = NeighborTable()
+        self.neighbors = NeighborTable(node_id, hello_log)
         self.on_receive: ReceiveHook | None = None
         #: substrate hook fired when fail()/restore() actually flips the
         #: node's state; the owning Network uses it to invalidate its

@@ -19,7 +19,7 @@ reproduce that comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.geometry.primitives import Point, Rect
@@ -36,6 +36,10 @@ class ZapHeader(GeoHeader):
     stage: int = 0  # 0 = geo-forwarding, 1 = in-zone flood
     session: int = 0
     seq: int = 0
+    #: (node, stage) receptions already handled; one set per packet,
+    #: shared by all its copies (``clone`` passes it on), as
+    #: ``AlertHeader.seen``.  Simulator bookkeeping, not on the wire.
+    seen: set = field(default_factory=set)
 
 
 class ZapProtocol(GpsrProtocol):
@@ -57,7 +61,6 @@ class ZapProtocol(GpsrProtocol):
         #: ZAP's intersection-attack countermeasure (§3.3; 0 disables it)
         self.enlargement_per_packet = enlargement_per_packet
         self._session_seq: dict[tuple[int, int], int] = {}
-        self._seen: set[tuple] = set()
         #: optional hook: (time, in-zone recipient ids) per flood —
         #: consumed by the intersection-attack harness.
         self.zone_delivery_observer: Callable | None = None
@@ -101,10 +104,14 @@ class ZapProtocol(GpsrProtocol):
         ):
             return
         hdr: ZapHeader = packet.header
-        dedup = (hdr.session, hdr.seq, node.id, hdr.stage)
-        if dedup in self._seen:
+        # The set lives in the header and is shared by every copy of
+        # this packet, so session and seq need not enter the key, and
+        # it dies with the last copy.
+        seen = hdr.seen
+        before = len(seen)
+        seen.add((node.id, hdr.stage))
+        if len(seen) == before:  # single hash for the probe + insert
             return
-        self._seen.add(dedup)
         hdr.retries = 0
 
         if node.id == packet.dst:

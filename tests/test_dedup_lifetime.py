@@ -1,10 +1,11 @@
-"""ALERT's reception dedup keys live in the packet's header.
+"""Reception dedup keys live in the packet's header.
 
 ``AlertHeader.seen`` records which (node, zone stage, RF round, TD)
-receptions of one packet have been handled.  Every copy of the packet
-shares the set, a newly built packet starts a fresh one, and the set
-is freed by refcount with the packet's last copy — also while the
-cyclic collector is off, as it is during ``run_experiment``.
+receptions of one packet have been handled, ``ZapHeader.seen`` which
+(node, stage) ones.  Every copy of the packet shares the set, a newly
+built packet starts a fresh one, and the set is freed by refcount with
+the packet's last copy — also while the cyclic collector is off, as it
+is during ``run_experiment``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.location.service import LocationService
 from repro.mobility.static import StaticPosition
 from repro.net.network import Network
 from repro.net.packet import Packet, PacketKind
+from repro.routing.zap import ZapHeader, ZapProtocol
 from repro.sim.engine import Engine
 from tests import test_reliability_and_edges as reliability
 
@@ -210,4 +212,102 @@ def test_seen_dies_with_the_packet(monkeypatch, cfg):
     # Nothing is left in flight, so every packet is delivered or dropped.
     assert flows and all(f.delivered or f.dropped_reason for f in flows)
     assert len(refs) >= len(flows)
+    assert alive == 0
+
+
+# ----------------------------------------------------------------------
+# ZAP: the same rule, keyed by (node, stage)
+# ----------------------------------------------------------------------
+def _zap_header(**kw) -> ZapHeader:
+    return ZapHeader(zone=Rect(700.0, 700.0, 950.0, 950.0), ttl=12, **kw)
+
+
+class TestZapSeen:
+    def test_clone_shares_seen(self):
+        hdr = _zap_header()
+        hdr.seen.add((3, 0))
+        assert hdr.clone().seen is hdr.seen
+
+    def test_new_headers_start_fresh(self):
+        assert _zap_header().seen is not _zap_header().seen
+
+    def test_duplicate_reception_is_dropped(self):
+        engine = Engine(seed=5)
+        positions = [Point(100.0, 100.0), Point(200.0, 100.0), Point(850.0, 850.0)]
+        net = Network(
+            engine, Field(1000.0, 1000.0),
+            lambda i, rng: StaticPosition(positions[i]), len(positions),
+        )
+        proto = ZapProtocol(
+            net, LocationService(net, cost_model=CryptoCostModel()),
+            MetricsCollector(), CryptoCostModel(),
+        )
+        handled = []
+        proto._forward = lambda node, packet: handled.append(node.id)
+        packet = Packet(PacketKind.DATA, src=1, dst=2, size_bytes=64,
+                        header=_zap_header())
+        node0, node1 = net.nodes[0], net.nodes[1]
+        proto._dispatch(node0, packet)
+        proto._dispatch(node0, packet)
+        # A second copy of the same frame shares the dedup set.
+        proto._dispatch(node0, packet.fork())
+        assert handled == [0]
+        # Another node is new; so is the same node in the flood stage,
+        # where a node outside the zone handles the copy and stops.
+        proto._dispatch(node1, packet.fork())
+        flooded = packet.fork()
+        flooded.header.stage = 1
+        proto._dispatch(node0, flooded)
+        proto._dispatch(node0, flooded.fork())
+        assert handled == [0, 1]
+        assert packet.header.seen == {(0, 0), (1, 0), (0, 1)}
+
+
+ZAP_RUN = ExperimentConfig(
+    protocol="ZAP", n_nodes=40, field_size=800.0, duration=8.0, n_pairs=4,
+)
+
+
+def test_zap_keeps_no_reception_set(monkeypatch):
+    built = []
+    original = ZapProtocol.__init__
+
+    def capture(self, *args, **kw):
+        original(self, *args, **kw)
+        built.append(self)
+
+    monkeypatch.setattr(ZapProtocol, "__init__", capture)
+    result = run_experiment(ZAP_RUN)
+    [proto] = built
+    assert result.metrics.counters.get("zap_zone_floods", 0) > 0
+    assert not [
+        name for name, value in vars(proto).items()
+        if isinstance(value, (set, frozenset))
+    ]
+
+
+def test_zap_seen_dies_with_the_packet(monkeypatch):
+    """With the cyclic collector off, every ZAP packet's ``seen`` set
+    is freed once the run has drained."""
+    refs = []
+    original = ZapHeader.__init__
+
+    def track(self, *args, **kw):
+        original(self, *args, **kw)
+        if "seen" not in kw:  # a new packet, not a clone's copy
+            self.seen = _TrackedSet()
+            refs.append(weakref.ref(self.seen))
+
+    monkeypatch.setattr(ZapHeader, "__init__", track)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = run_experiment(ZAP_RUN, max_packets_per_pair=3)
+        alive = sum(1 for r in refs if r() is not None)
+    finally:
+        if was_enabled:
+            gc.enable()
+    flows = result.metrics.flows()
+    assert flows and any(f.delivered for f in flows)
+    assert len(refs) == len(flows)
     assert alive == 0

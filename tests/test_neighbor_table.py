@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 import pytest
 
 from repro.crypto.keys import PublicKey
 from repro.geometry.primitives import Point
-from repro.net.neighbor_table import NeighborEntry, NeighborTable
+from repro.net.neighbor_table import (
+    HelloLog,
+    HelloRound,
+    NeighborEntry,
+    NeighborTable,
+)
 from repro.net.network import HELLO_INTERVAL
 
 PK = PublicKey(n=123457, e=65537)
@@ -35,9 +42,8 @@ class TestNeighborTable:
         t = table(float("inf"))
         addrs = [1, 2]
         rows = [entry(addr=a, t=0.0) for a in addrs]
-        t.ingest_shared(rows, [0, 1], 0, 2, addrs, 0.0)
-        t.ingest_shared(rows, [1], 0, 1, addrs, 1e9)
-        assert len(t._pending) == 2
+        t.ingest_shared(rows, [0, 1], 0, 2, addrs)
+        t.ingest_shared(rows, [1], 0, 1, addrs)
         assert t.get(1, now=1e12) is rows[0]
         assert t.live_entries(now=1e12) == rows
 
@@ -140,19 +146,46 @@ class TestSortedCache:
         assert [e.link_address for e in t.live_entries(now=10.0)] == [1]
 
 
+def hello_round(now, heard_by):
+    """A round in which each node ``r`` of ``heard_by`` heard the
+    transmitters ``heard_by[r]``, and no other node heard anything.
+
+    Transmitter ``a`` advertises ``Point(a, now)`` and ``b"p"`` + its
+    address as pseudonym.
+    """
+    tx_list = sorted({*heard_by, *(a for h in heard_by.values() for a in h)})
+    index = {a: j for j, a in enumerate(tx_list)}
+    n_nodes = max(tx_list) + 1
+    heard = array("H")
+    bounds = np.zeros((n_nodes, 2), dtype=np.int64)
+    for receiver, senders in heard_by.items():
+        lo = len(heard)
+        heard.extend(index[a] for a in senders)
+        bounds[receiver] = (lo, len(heard))
+    centers = np.array([[a, now] for a in tx_list], dtype=np.float64)
+    digests = [b"p" + bytes([a]) for a in tx_list]
+    return HelloRound(
+        now, tx_list, centers, digests, heard, bounds, [PK] * n_nodes
+    )
+
+
+def beacon_row(a, now):
+    """The row :func:`hello_round` builds for transmitter ``a``."""
+    return NeighborEntry(a, b"p" + bytes([a]), Point(a, now), PK, now)
+
+
 class TestIngestShared:
-    """Queued hello-round slices store exactly what ``bulk_update`` does."""
+    """Slices of shared per-round data — an ``ingest_shared`` slice, a
+    table's slice of a logged hello round — store exactly what
+    ``bulk_update`` of the same rows does."""
 
     @pytest.mark.parametrize("shared_addrs", [True, False])
-    @pytest.mark.parametrize(
-        "n_rounds",
-        [3, 10, NeighborTable._PENDING_MAX + 5],
-    )
+    @pytest.mark.parametrize("n_rounds", [3, 10, 37])
     def test_matches_bulk_update(self, n_rounds, shared_addrs):
         # ``shared_addrs`` reuses one address list object across rounds.
         rng = np.random.default_rng(n_rounds)
         tx_list = [3, 8, 11, 20, 27, 31]
-        lazy = table(100.0)
+        shared = table(100.0)
         eager = table(100.0)
         for r in range(n_rounds):
             addrs = tx_list if shared_addrs else list(tx_list)
@@ -166,55 +199,53 @@ class TestIngestShared:
                 k = int(rng.integers(2, len(addrs) + 1))
             rows = np.sort(rng.choice(len(addrs), size=k, replace=False))
             # Pad the slice so ``lo``/``hi`` index into a larger shared
-            # pair array, as one receiver's run of a round's pairs does.
+            # index array.
             idx = np.concatenate(([0], rows, [len(addrs) - 1])).astype(
                 np.uint16
             )
-            lazy.ingest_shared(entries, idx, 1, 1 + k, addrs, float(r))
+            shared.ingest_shared(entries, idx, 1, 1 + k, addrs)
             eager.bulk_update([entries[t] for t in rows.tolist()])
-        if n_rounds < NeighborTable._PENDING_MAX:
-            assert len(lazy._pending) == n_rounds
-            assert lazy._entries == {}
-        got = lazy.live_entries(now=float(n_rounds))
+        got = shared.live_entries(now=float(n_rounds))
         want = eager.live_entries(now=float(n_rounds))
-        assert len(got) == len(want) == len(lazy)
+        assert len(got) == len(want) == len(shared)
         assert all(g is w for g, w in zip(got, want))
-        assert lazy._pending == []
+
 
     @pytest.mark.parametrize("read_after", [0.0, 0.25, 1.5, 1.75, 2.0, 3.5])
-    def test_short_ttl_drops_dead_slices(self, read_after):
+    def test_short_ttl_drops_dead_slices(self, monkeypatch, read_after):
         """Rounds every 0.5 s under a 1.5 s TTL with no reads between
-        them: queued slices past the TTL are dropped, one exactly at
-        the cutoff is kept, and every read matches the eager table."""
+        them: the log drops rounds past the TTL with the table's slice
+        of each, keeps the one exactly at the cutoff, and every read
+        matches the eager table."""
         ttl, step, n_rounds = 1.5, 0.5, 40
+        monkeypatch.setattr(NeighborTable, "ttl", ttl)
         rng = np.random.default_rng(17)
-        addrs = list(range(0, 60, 3))
-        lazy = table(ttl)
-        eager = table(ttl)
+        addrs = list(range(3, 60, 3))
+        log = HelloLog()
+        lazy = NeighborTable(0, log)
+        eager = NeighborTable()
         for r in range(n_rounds):
             now = r * step
-            entries = [
-                entry(addr=a, t=now, pos=Point(a, r)) for a in addrs
-            ]
             # Random subsets; addresses from 30 up fall silent after
             # round 10, so the eager table keeps dead rows the lazy one
             # never stores.
-            heard = len(addrs) if r < 10 else 10
-            k = int(rng.integers(1, heard + 1))
-            rows = np.sort(rng.choice(heard, size=k, replace=False))
-            lazy.ingest_shared(entries, rows, 0, k, addrs, now)
-            eager.bulk_update([entries[t] for t in rows.tolist()])
-            seen = [s[0] for s in lazy._pending]
+            pool = addrs if r < 10 else addrs[:9]
+            k = int(rng.integers(1, len(pool) + 1))
+            heard = sorted(rng.choice(pool, size=k, replace=False).tolist())
+            log.append(hello_round(now, {0: heard}))
+            eager.bulk_update([beacon_row(a, now) for a in heard])
+            seen = [rnd.time for rnd in log.rounds]
             assert min(seen) >= now - ttl
             if now >= ttl:
                 # round times are exact multiples of 0.5
                 assert seen[0] == now - ttl
             assert len(seen) == min(r + 1, int(ttl / step) + 1)
+        assert all(rnd._rows is None for rnd in log.rounds)
         now = (n_rounds - 1) * step + read_after
         cutoff = now - ttl
         assert lazy.live_entries(now) == eager.live_entries(now)
         for a in range(60):
-            assert lazy.get(a, now) is eager.get(a, now)
+            assert lazy.get(a, now) == eager.get(a, now)
         got_rows, got_x, got_y, got_seen = lazy.columns()
         want_rows, want_x, want_y, want_seen = eager.columns()
         got_live = got_seen >= cutoff
@@ -224,5 +255,51 @@ class TestIngestShared:
         ]
         assert np.array_equal(got_x[got_live], want_x[want_live])
         assert np.array_equal(got_y[got_live], want_y[want_live])
-        # the dropped slices' rows are dead rows the lazy table never stored
+        # the dropped rounds' rows are dead rows the lazy table never stored
         assert len(lazy) < len(eager)
+
+
+class TestHelloLog:
+    """A table pulls each logged round's rows on its next read or write,
+    exactly as storing every round on arrival would."""
+
+    def test_reads_merge_unread_rounds_in_order(self):
+        log = HelloLog()
+        t = NeighborTable(0, log)
+        log.append(hello_round(0.0, {0: [1, 2]}))
+        log.append(hello_round(1.0, {0: [2, 3]}))
+        assert t._entries == {}
+        live = t.live_entries(1.0)
+        assert live == [beacon_row(1, 0.0), beacon_row(2, 1.0), beacon_row(3, 1.0)]
+        assert t._merged == log.seq == 2
+
+    def test_writes_merge_first(self):
+        """``update`` and ``remove`` act on the merged table: a row
+        written or removed after a round stays written or removed, and
+        a later round brings a removed address back."""
+        log = HelloLog()
+        t = NeighborTable(0, log)
+        log.append(hello_round(0.0, {0: [1, 2]}))
+        t.update(entry(addr=1, t=0.5))
+        t.remove(2)
+        assert t.get(1, 0.5) == entry(addr=1, t=0.5)
+        assert t.get(2, 0.5) is None
+        log.append(hello_round(1.0, {0: [2]}))
+        assert t.get(2, 1.0) == beacon_row(2, 1.0)
+        assert t.get(1, 1.0) == entry(addr=1, t=0.5)
+
+    def test_down_node_hears_nothing(self):
+        log = HelloLog()
+        t = NeighborTable(1, log)
+        # node 1 is not among the round's transmitters: it was down
+        log.append(hello_round(0.0, {0: [2]}))
+        assert len(t) == 0
+
+    def test_rows_shared_and_built_once_per_round(self):
+        log = HelloLog()
+        a, b = NeighborTable(0, log), NeighborTable(1, log)
+        rnd = hello_round(0.0, {0: [2], 1: [0, 2]})
+        log.append(rnd)
+        assert rnd._rows is None
+        assert a.get(2, 0.0) is b.get(2, 0.0) is rnd._rows[2]
+        assert b.get(0, 0.0) == beacon_row(0, 0.0)

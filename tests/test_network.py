@@ -13,7 +13,8 @@ from repro.geometry.field import Field
 from repro.geometry.primitives import Point
 from repro.geometry.spatial_index import GridIndex
 from repro.mobility.static import StaticPosition
-from repro.net.network import Network
+from repro.net.neighbor_table import NeighborTable
+from repro.net.network import HELLO_INTERVAL, Network
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Engine
 from tests.conftest import build_network
@@ -457,14 +458,13 @@ class TestHelloRoundParity:
             pytest.param(3, 40, None, 600.0, id="3"),
             pytest.param(11, 40, None, 600.0, id="11"),
             # Paper density (200 nodes/km², side 1000·sqrt(N/200)): many
-            # occupied grid cells, so the round merges pairs across
-            # cell groups and sorts them by receiver.
+            # occupied grid cells, so receivers hear transmitters from
+            # their neighbouring cells.
             pytest.param(5, 600, None, 1000.0 * math.sqrt(3), id="5-n600"),
             # Snapshot refreshed earlier but still within
             # SNAPSHOT_RESOLUTION: the round interpolates positions.
             pytest.param(3, 40, 0.6, 600.0, id="3-stale-snapshot"),
-            # Every node inside one grid cell: a single candidate group,
-            # whose pairs need no receiver sort.
+            # Every node inside one grid cell: a single receiver group.
             pytest.param(7, 30, None, 200.0, id="7-one-cell"),
             # A field so sparse that no beacon reaches anyone.
             pytest.param(9, 5, None, 50_000.0, id="9-isolated"),
@@ -520,9 +520,9 @@ class TestHelloRoundParity:
     @pytest.mark.parametrize("dead", [(), (3, 17)])
     def test_parity_over_ttl_without_reads(self, dead):
         """Ten rounds 1 s apart (10 s, over three 3 s TTLs) with no
-        table read in between: every round drops each receiver's queued
-        slices past the TTL, keeps the one exactly at the cutoff, and
-        the lazily built tables still show the scalar reference's live
+        table read in between: every round drops the logged rounds past
+        the TTL, keeps the one exactly at the cutoff, and the tables
+        pulled from the log still show the scalar reference's live
         view."""
         vec, ref = (
             build_network(n_nodes=60, seed=21, field_size=400.0, speed=20.0)
@@ -538,18 +538,20 @@ class TestHelloRoundParity:
             vec._emit_hello_round()
             scalar_hello_round(ref)
             now = vec.engine.now
-            for node in vec.nodes:
-                if not node.active:
-                    continue
-                pending = node.neighbors._pending
-                # every live node hears a beacon every round here
-                assert pending[-1][0] == now
-                assert all(s[0] >= now - node.neighbors.ttl for s in pending)
-                # round times are whole seconds: 1 s rounds under a 3 s
-                # TTL keep four slices, the oldest exactly at the cutoff
-                assert len(pending) == min(r + 1, 4)
-                if r >= 3:
-                    assert pending[0][0] == now - node.neighbors.ttl
+            rounds = list(vec.hello_rounds.rounds)
+            assert rounds[-1].time == now
+            # every live node hears a beacon every round here
+            lo, hi = rounds[-1].bounds[vec.active_mask()].T
+            assert (hi > lo).all()
+            assert all(rnd.time >= now - NeighborTable.ttl for rnd in rounds)
+            # round times are whole seconds: 1 s rounds under a 3 s TTL
+            # keep four rounds, the oldest exactly at the cutoff
+            assert len(rounds) == min(r + 1, 4)
+            if r >= 3:
+                assert rounds[0].time == now - NeighborTable.ttl
+            # nothing was read: no table merged, no round built a row
+            assert all(n.neighbors._merged == 0 for n in vec.nodes)
+            assert all(rnd._rows is None for rnd in rounds)
         assert vec.hello_tx == ref.hello_tx
         assert vec.airtime_tx_s == ref.airtime_tx_s
         assert vec.airtime_rx_s == ref.airtime_rx_s
@@ -562,11 +564,108 @@ class TestHelloRoundParity:
                 )
                 for nid in range(vec.n_nodes):
                     assert a.neighbors.get(nid, later) == b.neighbors.get(nid, later)
-        # mobility churned neighbour sets, so dropped slices held rows
+        # mobility churned neighbour sets, so dropped rounds held rows
         # the scalar tables still store as dead
         assert sum(len(n.neighbors) for n in vec.nodes) < sum(
             len(n.neighbors) for n in ref.nodes
         )
+
+    def test_unread_rounds_stay_bounded(self):
+        """Ten beaconing intervals with no table read: the network keeps
+        only the rounds a table could still need, and none of them has
+        built a row."""
+        net = build_network(n_nodes=80, seed=6, field_size=800.0)
+        net.start_hello()
+        net.engine.run(until=10.5 * HELLO_INTERVAL)
+        rounds = list(net.hello_rounds.rounds)
+        assert net.hello_rounds.seq >= 10
+        assert len(rounds) <= NeighborTable.ttl / HELLO_INTERVAL + 1
+        assert all(rnd._rows is None for rnd in rounds)
+        # The first read builds the rows of the retained rounds only.
+        assert len(net.nodes[0].neighbors) > 0
+        assert all(rnd._rows is not None for rnd in rounds)
+        net.stop_hello()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_nodes=st.integers(min_value=1, max_value=300),
+        side=st.sampled_from([300.0, 800.0, 1500.0, 3000.0]),
+        static=st.booleans(),
+        steps=st.lists(
+            st.tuples(
+                st.floats(min_value=0.3, max_value=1.6),  # time to the round
+                st.booleans(),  # snapshot refreshed 0.1 s before it
+                st.sets(st.integers(0, 299), max_size=6),  # nodes failing
+                st.sets(st.integers(0, 299), max_size=3),  # nodes restored
+                st.sets(st.integers(0, 299), max_size=40),  # tables read
+                st.lists(st.tuples(st.integers(0, 299), st.integers(0, 299)),
+                         max_size=4),  # (table, address) removals
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_pull_parity_property(self, seed, n_nodes, side, static, steps):
+        """Tables pulled from the round log against tables the scalar
+        round writes on every beacon: the same live rows, lookups and
+        live columns for every table, whichever tables were read, at
+        every round, across failures, recoveries and removals; and the
+        same airtime and per-node transmit counts."""
+        vec, ref = (
+            build_network(
+                n_nodes=n_nodes, seed=seed, field_size=side, static=static
+            )
+            for _ in range(2)
+        )
+
+        def same_view(a, b, now):
+            assert a.live_entries(now) == b.live_entries(now)
+            for e in b.live_entries(now)[:5]:
+                assert a.get(e.link_address, now) == e
+            assert a.get(n_nodes, now) is b.get(n_nodes, now) is None
+            cutoff = now - NeighborTable.ttl
+            rows_a, xs_a, ys_a, seen_a = a.columns()
+            rows_b, xs_b, ys_b, seen_b = b.columns()
+            live_a = seen_a >= cutoff
+            live_b = seen_b >= cutoff
+            assert [e for e, m in zip(rows_a, live_a) if m] == [
+                e for e, m in zip(rows_b, live_b) if m
+            ]
+            assert np.array_equal(xs_a[live_a], xs_b[live_b])
+            assert np.array_equal(ys_a[live_a], ys_b[live_b])
+
+        for dt, stale, failing, restored, read, removals in steps:
+            for net in (vec, ref):
+                if stale:
+                    net.engine.schedule_in(dt - 0.1, net.snapshot)
+                net.engine.schedule_in(dt, lambda: None)
+                net.engine.run()
+                for nid in failing:
+                    if nid < n_nodes:
+                        net.nodes[nid].fail()
+                for nid in restored:
+                    if nid < n_nodes:
+                        net.nodes[nid].restore()
+            vec._emit_hello_round()
+            scalar_hello_round(ref)
+            now = vec.engine.now
+            for nid in sorted(read):
+                if nid < n_nodes:
+                    same_view(
+                        vec.nodes[nid].neighbors, ref.nodes[nid].neighbors, now
+                    )
+            for nid, addr in removals:
+                if nid < n_nodes:
+                    vec.nodes[nid].neighbors.remove(addr)
+                    ref.nodes[nid].neighbors.remove(addr)
+        assert vec.hello_tx == ref.hello_tx
+        assert vec.airtime_tx_s == ref.airtime_tx_s
+        assert vec.airtime_rx_s == ref.airtime_rx_s
+        now = vec.engine.now
+        for a, b in zip(vec.nodes, ref.nodes):
+            assert a.tx_count == b.tx_count
+            same_view(a.neighbors, b.neighbors, now)
 
     def test_parity_at_exact_range(self):
         """Pairs exactly one radio range apart, and nodes sitting on grid
